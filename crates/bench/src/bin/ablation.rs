@@ -7,7 +7,7 @@
 use oic_bench::experiments::{ablation, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args(std::env::args().skip(1));
+    let scale = ExperimentScale::from_env_or_exit("ablation");
     match ablation::run(&scale) {
         Ok(out) => {
             print!("{out}");

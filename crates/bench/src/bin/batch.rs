@@ -39,7 +39,7 @@ use std::time::Instant;
 use oic_bench::experiments::{batch, ExperimentScale};
 
 fn main() {
-    let mut scale = ExperimentScale::from_args(std::env::args().skip(1));
+    let mut scale = ExperimentScale::from_env_or_exit("batch");
     // The paper-scale default of 500 training episodes is a DRL knob; the
     // sweep is policy-only, so only cases/steps/seed/engine knobs apply.
     scale.train_episodes = 0;
@@ -90,8 +90,13 @@ fn main() {
                 );
             }
             if stats.cells_failed > 0 {
+                let cause = if scale.fault_plan.is_some() {
+                    " under fault injection"
+                } else {
+                    " (no fault plan given; see the FAILED rows)"
+                };
                 eprintln!(
-                    "{} cells degraded to failed entries under fault injection",
+                    "{} cells degraded to failed entries{cause}",
                     stats.cells_failed,
                 );
             }

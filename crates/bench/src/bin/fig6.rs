@@ -6,7 +6,7 @@
 use oic_bench::experiments::{fig6, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args(std::env::args().skip(1));
+    let scale = ExperimentScale::from_env_or_exit("fig6");
     eprintln!(
         "fig6: 5 experiments x {} cases x {} steps, {} training episodes (seed {})",
         scale.cases, scale.steps, scale.train_episodes, scale.seed

@@ -8,36 +8,27 @@
 //! Unlike `BENCH_batch.json` (bit-exact, CI-diffed) these numbers are
 //! wall-clock and machine-dependent: the committed file is a recorded
 //! perf *trajectory* for the ROADMAP, not a byte-compared baseline. The
-//! ratios (`speedup_*`) are the stable, machine-portable part — the
-//! templated warm-started MPC step is required to stay ≥ 2× faster than
-//! the seed's rebuild-every-step path, and the lockstep episode kernel
-//! is required to beat the scalar reference loop.
+//! ratios (`speedup_*`) are the more machine-portable part: `mpc_step`'s
+//! compare the templated and the warm-started MPC step with the seed's
+//! rebuild-every-step path (about 2× for the warm step, within run-to-run
+//! noise; nothing gates on them).
 //!
-//! Schema 4: `engine_sweep` counts **executed** episodes only —
-//! cache-hit cells (zero recorded wall time; their episodes never ran)
-//! and failed cells are excluded from the throughput quotient — and a
-//! second sweep under the scalar reference kernel records
-//! `engine_sweep_scalar` plus two ratios:
-//!
-//! * `speedup_lockstep` — whole-sweep wall-clock ratio. This is
-//!   Amdahl-limited: the tube-MPC cells (`acc`, `lane-keeping`) spend
-//!   ~85% of their CPU inside the simplex engine, whose pivot sequence
-//!   is pinned by the byte-identity contract (`BENCH_batch.json` is
-//!   CI-diffed), so the episode kernel cannot legally touch it.
-//! * `speedup_lockstep_median_cell` — median per-cell CPU-time ratio,
-//!   the honest summary of what the kernel buys on the cells it
-//!   targets (analytic-controller and DRL cells).
+//! Schema 5: `engine_sweep` is one instrumented registry sweep that
+//! counts **executed** episodes only — cache-hit cells (zero recorded
+//! wall time; their episodes never ran) and failed cells are excluded
+//! from the throughput quotient — plus per-cell rates in
+//! `episodes_per_cpu_sec_by_cell`.
 //!
 //! `--engine-only` skips the LP/MPC/geometry sections (for CI's
 //! throughput floor check).
 
 use std::time::Instant;
 
-use oic_bench::experiments::{batch, ExperimentScale};
+use oic_bench::experiments::{batch, usage_exit, ExperimentScale};
 use oic_bench::fixtures::{acc_closed_loop_states, drifting_rhs_sequence, tall_lp};
 use oic_control::{robust_controllable_pre, MpcWarmState};
 use oic_core::acc::AccCaseStudy;
-use oic_engine::{executed_throughput, JsonValue, KernelChoice};
+use oic_engine::{executed_throughput, JsonValue};
 use oic_lp::{Backend, WarmStart};
 use oic_scenarios::ScenarioRegistry;
 
@@ -57,17 +48,16 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     times[times.len() / 2]
 }
 
-/// One instrumented registry sweep under the given episode kernel:
-/// `(sweep json, executed episodes per wall-clock second)`. Throughput
-/// counts executed episodes only — cache hits and failed cells are
-/// excluded from numerator and denominator alike.
-fn engine_sweep(kernel: KernelChoice, by_cell: bool) -> (JsonValue, f64) {
+/// One instrumented registry sweep: `(sweep json, executed episodes per
+/// wall-clock second)`. Throughput counts executed episodes only — cache
+/// hits and failed cells are excluded from numerator and denominator
+/// alike.
+fn engine_sweep() -> (JsonValue, f64) {
     let scale = ExperimentScale {
         cases: 16,
         steps: 50,
         train_episodes: 0,
         seed: 42,
-        kernel,
         ..Default::default()
     };
     let started = Instant::now();
@@ -76,32 +66,32 @@ fn engine_sweep(kernel: KernelChoice, by_cell: bool) -> (JsonValue, f64) {
     let executed = executed_throughput(&report, &stats);
     let episodes_total: usize = report.cells.iter().map(|c| c.episodes).sum();
     let eps = executed.episodes as f64 / wall_s;
-    let mut json = JsonValue::object()
+    // Per-cell rates from the engine's summed chunk times (CPU-, not
+    // wall-clock-seconds), executed cells only.
+    let mut cell_rates = JsonValue::object();
+    for (cell, timing) in report.cells.iter().zip(&stats.cell_timings) {
+        if cell.is_failed() || timing.wall_ns == 0 {
+            continue;
+        }
+        let secs = (timing.wall_ns as f64 / 1e9).max(1e-9);
+        cell_rates = cell_rates.with(
+            &format!("{}/{}", timing.scenario, timing.policy),
+            timing.episodes as f64 / secs,
+        );
+    }
+    let json = JsonValue::object()
         .with("episodes_total", episodes_total)
         .with("episodes_executed", executed.episodes)
         .with("cells", report.cells.len())
         .with("cells_from_cache", executed.cells_from_cache)
         .with("cells_failed", executed.cells_failed)
         .with("wall_s", wall_s)
-        .with("episodes_per_sec", eps);
-    if by_cell {
-        // Per-cell rates from the engine's summed chunk times (CPU-,
-        // not wall-clock-seconds), executed cells only.
-        let mut cell_rates = JsonValue::object();
-        for (cell, timing) in report.cells.iter().zip(&stats.cell_timings) {
-            if cell.is_failed() || timing.wall_ns == 0 {
-                continue;
-            }
-            let secs = (timing.wall_ns as f64 / 1e9).max(1e-9);
-            cell_rates = cell_rates.with(
-                &format!("{}/{}", timing.scenario, timing.policy),
-                timing.episodes as f64 / secs,
-            );
-        }
-        json = json.with("episodes_per_cpu_sec_by_cell", cell_rates);
-    }
+        .with("episodes_per_sec", eps)
+        .with("episodes_per_cpu_sec_by_cell", cell_rates);
     (json, eps)
 }
+
+const FLAGS: &str = "[--out FILE] [--samples N] [--engine-only]";
 
 fn main() {
     let mut out = "BENCH_kernels.json".to_string();
@@ -109,65 +99,40 @@ fn main() {
     let mut engine_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next().unwrap_or_else(|| {
+                usage_exit("kernels", FLAGS, Some(&format!("{arg} needs a value")))
+            })
+        };
         match arg.as_str() {
-            "--out" => {
-                if let Some(v) = args.next() {
-                    out = v;
-                }
-            }
+            "--help" => usage_exit("kernels", FLAGS, None),
+            "--out" => out = value(),
             "--samples" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    samples = v;
-                }
+                let v = value();
+                samples = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    let problem = format!("--samples expects a positive number, got {v:?}");
+                    usage_exit("kernels", FLAGS, Some(&problem))
+                });
             }
             "--engine-only" => engine_only = true,
-            other => eprintln!("ignoring unknown argument {other}"),
+            other => usage_exit(
+                "kernels",
+                FLAGS,
+                Some(&format!("unknown argument {other:?}")),
+            ),
         }
     }
 
-    // --- Engine sweep throughput: instrumented batch runs over the
-    // full registry, lockstep kernel vs the scalar reference loop. ---
-    eprintln!("kernels: instrumented engine sweep (full registry, lockstep kernel)…");
-    let (sweep_lockstep, eps_lockstep) = engine_sweep(KernelChoice::Lockstep, true);
-    eprintln!("kernels: instrumented engine sweep (full registry, scalar kernel)…");
-    let (sweep_scalar, eps_scalar) = engine_sweep(KernelChoice::Scalar, true);
-    let speedup_lockstep = eps_lockstep / eps_scalar.max(1e-9);
-    // Per-cell speedup distribution: wall throughput is Amdahl-limited by
-    // the LP-bound tube-MPC cells (simplex pivot order is pinned by the
-    // byte-identity gate, so the kernel cannot touch it); the median cell
-    // is the honest summary of what the lockstep kernel buys.
-    let cell_speedup = |lock: &JsonValue, scal: &JsonValue| -> Vec<(String, f64)> {
-        let (Some(JsonValue::Object(l_cells)), Some(s)) = (
-            lock.get("episodes_per_cpu_sec_by_cell"),
-            scal.get("episodes_per_cpu_sec_by_cell"),
-        ) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (cell, rate) in l_cells {
-            if let (Some(lr), Some(sr)) = (rate.as_f64(), s.get(cell).and_then(JsonValue::as_f64)) {
-                if sr > 0.0 {
-                    out.push((cell.clone(), lr / sr));
-                }
-            }
-        }
-        out
-    };
-    let mut ratios = cell_speedup(&sweep_lockstep, &sweep_scalar);
-    ratios.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let median_cell_speedup = ratios.get(ratios.len() / 2).map_or(1.0, |(_, r)| *r);
-    eprintln!(
-        "engine sweep: lockstep {eps_lockstep:.1} eps/s, scalar {eps_scalar:.1} eps/s \
-         ({speedup_lockstep:.2}x wall, {median_cell_speedup:.2}x median cell)"
-    );
+    // --- Engine sweep throughput: one instrumented batch run over the
+    // full registry. ---
+    eprintln!("kernels: instrumented engine sweep (full registry)…");
+    let (engine, eps) = engine_sweep();
+    eprintln!("engine sweep: {eps:.1} executed episodes/s");
 
     if engine_only {
         let doc = JsonValue::object()
-            .with("schema", 4.0)
-            .with("engine_sweep", sweep_lockstep)
-            .with("engine_sweep_scalar", sweep_scalar)
-            .with("speedup_lockstep", speedup_lockstep)
-            .with("speedup_lockstep_median_cell", median_cell_speedup);
+            .with("schema", 5.0)
+            .with("engine_sweep", engine);
         println!("{}", doc.to_json_pretty());
         if let Err(e) = std::fs::write(&out, doc.to_json_pretty()) {
             eprintln!("failed to write {out}: {e}");
@@ -288,7 +253,7 @@ fn main() {
 
     let ratio = |slow: u64, fast: u64| slow as f64 / fast.max(1) as f64;
     let doc = JsonValue::object()
-        .with("schema", 4.0)
+        .with("schema", 5.0)
         .with(
             "mpc_step",
             JsonValue::object()
@@ -307,10 +272,7 @@ fn main() {
         )
         .with("backend_sweep", sweep)
         .with("nd_geometry", nd)
-        .with("engine_sweep", sweep_lockstep)
-        .with("engine_sweep_scalar", sweep_scalar)
-        .with("speedup_lockstep", speedup_lockstep)
-        .with("speedup_lockstep_median_cell", median_cell_speedup);
+        .with("engine_sweep", engine);
 
     println!("{}", doc.to_json_pretty());
     eprintln!(

@@ -6,7 +6,7 @@
 use oic_bench::experiments::{timing, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args(std::env::args().skip(1));
+    let scale = ExperimentScale::from_env_or_exit("timing");
     eprintln!("timing: seed {}", scale.seed);
     match timing::run(&scale) {
         Ok(report) => {

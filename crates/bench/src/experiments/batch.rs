@@ -142,7 +142,6 @@ pub fn run_with_stats(scale: &ExperimentScale) -> Result<(BatchReport, SweepStat
         cache: cache.as_ref(),
         dropouts: (!dropouts.is_empty()).then_some(dropouts.as_slice()),
         faults: plan.as_ref(),
-        kernel: scale.kernel,
         ..Default::default()
     };
     run_batch_opts(&registry, &roster, &config(scale), &opts)
@@ -228,14 +227,18 @@ pub fn wall_clock_line(
     )
 }
 
-/// Renders the sweep as a table plus the Theorem-1 tally.
+/// Renders the sweep as a table plus the Theorem-1 tally. Failed cells
+/// count against the claim next to the violations: their episodes did
+/// not all run, so a zero violation total says nothing about them.
 pub fn render(report: &BatchReport) -> String {
     let mut out = String::from("Scenario sweep — all registered plants x standard policies\n");
     out.push_str(&report.render_table());
     out.push_str(&format!(
-        "\ntotal safety violations across {} cells: {} (Theorem 1 demands 0)\n",
+        "\ntotal safety violations across {} cells: {}, failed cells: {} \
+         (Theorem 1 demands 0 of both)\n",
         report.cells.len(),
-        report.total_safety_violations()
+        report.total_safety_violations(),
+        report.failed_cells(),
     ));
     out
 }
@@ -281,6 +284,29 @@ mod tests {
         assert!(rendered.contains("drl-acc"));
         let json = report.to_json(false).to_json();
         assert!(json.contains("\"seed\":\"9\""));
+    }
+
+    #[test]
+    fn failed_cells_count_against_theorem_1_in_the_totals() {
+        let report = BatchReport {
+            seed: 2020,
+            shard: None,
+            cells: vec![oic_engine::CellReport::failed(
+                "lane-keeping",
+                "bang-bang",
+                "none",
+                100,
+                "episode 72: outside the robust invariant set".into(),
+            )],
+        };
+        let rendered = render(&report);
+        assert!(
+            rendered.contains(
+                "total safety violations across 1 cells: 0, failed cells: 1 \
+                 (Theorem 1 demands 0 of both)"
+            ),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -63,10 +63,6 @@ pub struct ExperimentScale {
     /// `panic_rate`, and `nan_rate` keys, applied per cell hash. The
     /// sweep degrades (failed cells, never aborts) under the plan.
     pub fault_plan: Option<String>,
-    /// Episode-loop implementation (`--kernel lockstep|scalar`; the
-    /// default `Auto` honors `OIC_EPISODE_KERNEL`). Both produce
-    /// byte-identical reports — this is an A/B timing knob.
-    pub kernel: oic_engine::KernelChoice,
 }
 
 impl Default for ExperimentScale {
@@ -87,106 +83,116 @@ impl Default for ExperimentScale {
             shard: None,
             dropout: Vec::new(),
             fault_plan: None,
-            kernel: oic_engine::KernelChoice::Auto,
         }
     }
 }
 
+/// The flags [`ExperimentScale::from_args`] accepts, for usage text.
+const USAGE_FLAGS: &str = "[--cases N] [--steps N] [--train N] [--seed N] [--threads N] \
+[--chunk N] [--stream|--detail] [--policies drl:<path>[,...]] [--out FILE] [--metrics FILE] \
+[--trace FILE] [--cache-dir DIR] [--shard i/n] [--dropout LABEL[,...]] [--fault-plan FILE]";
+
+/// Why [`ExperimentScale::from_args`] produced no scale.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ArgsError {
+    /// `--help` was given: the caller prints the usage and succeeds.
+    Help,
+    /// An unknown flag, a flag without its value, or a number that does
+    /// not parse; the message names the offending argument.
+    Invalid(String),
+}
+
+/// The value following `flag`, or the error naming the missing value.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgsError> {
+    args.next()
+        .ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))
+}
+
+/// The number following `flag`, or the error naming what did not parse.
+fn flag_number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, ArgsError> {
+    let value = flag_value(args, flag)?;
+    value
+        .parse()
+        .map_err(|_| ArgsError::Invalid(format!("{flag} expects a number, got {value:?}")))
+}
+
+/// Prints the usage of the `bin` binary, whose flags are `flags`, and
+/// exits: with `problem == None` (`--help`) to stdout with status 0,
+/// otherwise the problem and the usage to stderr with status 2.
+pub fn usage_exit(bin: &str, flags: &str, problem: Option<&str>) -> ! {
+    match problem {
+        None => {
+            println!("usage: {bin} {flags}");
+            std::process::exit(0);
+        }
+        Some(problem) => {
+            eprintln!("{bin}: {problem}\nusage: {bin} {flags}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Splits a comma-separated list flag value into trimmed entries.
+fn list_entries(value: &str) -> impl Iterator<Item = String> + '_ {
+    value.split(',').map(|s| s.trim().to_string())
+}
+
 impl ExperimentScale {
     /// Parses `--cases N --steps N --train N --seed N --threads N
-    /// --chunk N --stream --detail --policies LIST --out FILE` from an
-    /// argument iterator (unknown arguments are ignored).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// --chunk N --stream --detail --policies LIST --out FILE --metrics
+    /// FILE --trace FILE --cache-dir DIR --shard i/n --dropout LIST
+    /// --fault-plan FILE` from an argument iterator.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::Help`] for `--help`, and [`ArgsError::Invalid`] for
+    /// an unknown flag, a flag missing its value, or a number that does
+    /// not parse — nothing falls back to a default silently.
+    fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgsError> {
         let mut scale = Self::default();
         let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--cases" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.cases = v;
-                    }
-                }
-                "--steps" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.steps = v;
-                    }
-                }
-                "--train" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.train_episodes = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.seed = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.threads = v;
-                    }
-                }
-                "--chunk" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        scale.chunk = v;
-                    }
-                }
+        while let Some(flag) = args.next() {
+            let args = &mut args;
+            match flag.as_str() {
+                "--help" => return Err(ArgsError::Help),
+                "--cases" => scale.cases = flag_number(args, &flag)?,
+                "--steps" => scale.steps = flag_number(args, &flag)?,
+                "--train" => scale.train_episodes = flag_number(args, &flag)?,
+                "--seed" => scale.seed = flag_number(args, &flag)?,
+                "--threads" => scale.threads = flag_number(args, &flag)?,
+                "--chunk" => scale.chunk = flag_number(args, &flag)?,
                 "--stream" => scale.stream = true,
                 "--detail" => scale.stream = false,
-                "--policies" => {
-                    if let Some(v) = args.next() {
-                        scale
-                            .policies
-                            .extend(v.split(',').map(|s| s.trim().to_string()));
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = args.next() {
-                        scale.out = Some(v);
-                    }
-                }
-                "--metrics" => {
-                    if let Some(v) = args.next() {
-                        scale.metrics_out = Some(v);
-                    }
-                }
-                "--trace" => {
-                    if let Some(v) = args.next() {
-                        scale.trace_out = Some(v);
-                    }
-                }
-                "--cache-dir" => {
-                    if let Some(v) = args.next() {
-                        scale.cache_dir = Some(v);
-                    }
-                }
-                "--shard" => {
-                    if let Some(v) = args.next() {
-                        scale.shard = Some(v);
-                    }
-                }
-                "--dropout" => {
-                    if let Some(v) = args.next() {
-                        scale
-                            .dropout
-                            .extend(v.split(',').map(|s| s.trim().to_string()));
-                    }
-                }
-                "--fault-plan" => {
-                    if let Some(v) = args.next() {
-                        scale.fault_plan = Some(v);
-                    }
-                }
-                "--kernel" => match args.next().as_deref() {
-                    Some("lockstep") => scale.kernel = oic_engine::KernelChoice::Lockstep,
-                    Some("scalar") => scale.kernel = oic_engine::KernelChoice::Scalar,
-                    Some(other) => eprintln!("ignoring unknown --kernel value {other}"),
-                    None => {}
-                },
-                _ => {}
+                "--policies" => scale
+                    .policies
+                    .extend(list_entries(&flag_value(args, &flag)?)),
+                "--out" => scale.out = Some(flag_value(args, &flag)?),
+                "--metrics" => scale.metrics_out = Some(flag_value(args, &flag)?),
+                "--trace" => scale.trace_out = Some(flag_value(args, &flag)?),
+                "--cache-dir" => scale.cache_dir = Some(flag_value(args, &flag)?),
+                "--shard" => scale.shard = Some(flag_value(args, &flag)?),
+                "--dropout" => scale
+                    .dropout
+                    .extend(list_entries(&flag_value(args, &flag)?)),
+                "--fault-plan" => scale.fault_plan = Some(flag_value(args, &flag)?),
+                _ => return Err(ArgsError::Invalid(format!("unknown argument {flag:?}"))),
             }
         }
-        scale
+        Ok(scale)
+    }
+
+    /// Parses the process arguments of the `bin` binary. `--help` prints
+    /// the usage to stdout and exits 0; invalid input prints the problem
+    /// and the usage to stderr and exits 2.
+    pub fn from_env_or_exit(bin: &str) -> Self {
+        match Self::from_args(std::env::args().skip(1)) {
+            Ok(scale) => scale,
+            Err(ArgsError::Help) => usage_exit(bin, USAGE_FLAGS, None),
+            Err(ArgsError::Invalid(message)) => usage_exit(bin, USAGE_FLAGS, Some(&message)),
+        }
     }
 
     /// The scale parameters every JSON report carries (so a saved report
@@ -282,42 +288,62 @@ pub fn compare_on_case(
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ExperimentScale, ArgsError> {
+        ExperimentScale::from_args(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn scale_parsing() {
-        let scale = ExperimentScale::from_args(
-            ["--cases", "20", "--train", "5", "--junk", "--seed", "7"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let scale = parse(&["--cases", "20", "--train", "5", "--seed", "7"]).unwrap();
         assert_eq!(scale.cases, 20);
         assert_eq!(scale.train_episodes, 5);
         assert_eq!(scale.seed, 7);
         assert_eq!(scale.steps, 100, "untouched default");
         assert_eq!(scale.threads, 0, "untouched default");
         assert!(scale.stream, "streaming is the default");
+        // Unknown flags are rejected, not skipped.
+        assert_eq!(
+            parse(&["--cases", "20", "--junk", "--seed", "7"]),
+            Err(ArgsError::Invalid("unknown argument \"--junk\"".into()))
+        );
+    }
+
+    #[test]
+    fn bad_values_are_rejected_not_defaulted() {
+        assert_eq!(
+            parse(&["--cases", "abc"]),
+            Err(ArgsError::Invalid(
+                "--cases expects a number, got \"abc\"".into()
+            ))
+        );
+        assert_eq!(
+            parse(&["--seed"]),
+            Err(ArgsError::Invalid("--seed needs a value".into()))
+        );
+        assert_eq!(
+            parse(&["--out"]),
+            Err(ArgsError::Invalid("--out needs a value".into()))
+        );
+        assert!(
+            parse(&["--kernel", "scalar"]).is_err(),
+            "removed flags must not silently run the default"
+        );
+        assert_eq!(parse(&["--cases", "5", "--help"]), Err(ArgsError::Help));
     }
 
     #[test]
     fn scale_parsing_engine_knobs() {
-        let scale = ExperimentScale::from_args(
-            ["--threads", "16", "--chunk", "64", "--detail"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let scale = parse(&["--threads", "16", "--chunk", "64", "--detail"]).unwrap();
         assert_eq!(scale.threads, 16);
         assert_eq!(scale.chunk, 64);
         assert!(!scale.stream);
-        let streamed = ExperimentScale::from_args(["--stream".to_string()]);
+        let streamed = parse(&["--stream"]).unwrap();
         assert!(streamed.stream);
     }
 
     #[test]
     fn scale_parsing_cache_and_shard() {
-        let scale = ExperimentScale::from_args(
-            ["--cache-dir", "/tmp/cells", "--shard", "1/4"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let scale = parse(&["--cache-dir", "/tmp/cells", "--shard", "1/4"]).unwrap();
         assert_eq!(scale.cache_dir.as_deref(), Some("/tmp/cells"));
         assert_eq!(scale.shard.as_deref(), Some("1/4"));
         let default = ExperimentScale::default();
@@ -326,11 +352,7 @@ mod tests {
 
     #[test]
     fn scale_parsing_fault_knobs() {
-        let scale = ExperimentScale::from_args(
-            ["--dropout", "none,mk-1-5", "--fault-plan", "plan.json"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let scale = parse(&["--dropout", "none,mk-1-5", "--fault-plan", "plan.json"]).unwrap();
         assert_eq!(scale.dropout, ["none", "mk-1-5"]);
         assert_eq!(scale.fault_plan.as_deref(), Some("plan.json"));
         let default = ExperimentScale::default();
@@ -339,16 +361,13 @@ mod tests {
 
     #[test]
     fn scale_parsing_policy_entries() {
-        let scale = ExperimentScale::from_args(
-            [
-                "--policies",
-                "drl:a.bin,drl:b.bin",
-                "--policies",
-                "drl:c.bin",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let scale = parse(&[
+            "--policies",
+            "drl:a.bin,drl:b.bin",
+            "--policies",
+            "drl:c.bin",
+        ])
+        .unwrap();
         assert_eq!(scale.policies, ["drl:a.bin", "drl:b.bin", "drl:c.bin"]);
         assert!(ExperimentScale::default().policies.is_empty());
     }

@@ -11,4 +11,4 @@ pub mod train;
 
 mod common;
 
-pub use common::{EpisodeComparison, ExperimentScale};
+pub use common::{usage_exit, EpisodeComparison, ExperimentScale};

@@ -236,7 +236,9 @@ pub fn evaluate_cell(
     let mut acc = oic_engine::CellAccumulator::new();
     for episode in 0..episodes {
         let ep_seed = episode_seed(seed, instance.name(), &label, episode);
-        let record = run_episode(instance, scenario, &prepared, episode, steps, 1, ep_seed)?;
+        let record = run_episode(
+            instance, scenario, &prepared, episode, steps, 1, ep_seed, None,
+        )?;
         acc.push(&record);
     }
     Ok(CellReport::from_accumulator(

@@ -571,25 +571,6 @@ pub fn certify_template(
     Ok(Polytope::new(n, halfspaces))
 }
 
-/// Deprecated planar alias of [`rakovic_rpi_certified`].
-///
-/// # Errors
-///
-/// * [`ControlError::Geometry`] — the sets are not 2-dimensional.
-/// * [`ControlError::NotConverged`] — certification did not close within the
-///   iteration budget.
-#[deprecated(note = "use the dimension-generic `rakovic_rpi_certified`")]
-pub fn rakovic_rpi_certified_2d(
-    a_cl: &Matrix,
-    w: &Zonotope,
-    options: &InvariantOptions,
-) -> Result<Polytope, ControlError> {
-    if w.dim() != 2 {
-        return Err(ControlError::Geometry(GeomError::NotTwoDimensional));
-    }
-    rakovic_rpi_certified(a_cl, w, options)
-}
-
 /// The retained planar certification path: the exact vertex-hull growth
 /// `Ω ← conv(Ω ∪ (A_cl Ω ⊕ W))` the pre-refactor 2-D implementation used.
 /// It is **not** on the production path any more — the dimension-generic
@@ -645,30 +626,6 @@ pub fn verify_rpi<S: SupportFunction>(
     w: &S,
     tol: f64,
 ) -> Result<bool, GeomError> {
-    // Under the forced revised backend the facet loop rides the batched
-    // support path (one warm-started LP across all pushed directions);
-    // default selection keeps per-facet solves with early exit so the
-    // committed baselines stay bit-identical.
-    if set.num_halfspaces() >= 2 && oic_lp::forced_backend() == Some(oic_lp::Backend::Revised) {
-        let pushed: Vec<Vec<f64>> = set
-            .halfspaces()
-            .iter()
-            .map(|h| a_cl.vec_mul(h.normal()))
-            .collect();
-        let views: Vec<&[f64]> = pushed.iter().map(Vec::as_slice).collect();
-        let flows = match set.support_batch(&views) {
-            Ok(f) => f,
-            Err(GeomError::EmptySet) => return Ok(true),
-            Err(e) => return Err(e),
-        };
-        let normals: Vec<&[f64]> = set.halfspaces().iter().map(|h| h.normal()).collect();
-        let drifts = w.support_batch(&normals)?;
-        return Ok(set
-            .halfspaces()
-            .iter()
-            .zip(flows.iter().zip(&drifts))
-            .all(|(h, (flow, drift))| flow + drift <= h.offset() + tol));
-    }
     for h in set.halfspaces() {
         let pushed = a_cl.vec_mul(h.normal()); // (aᵀ A_cl) as a direction on x
         let flow = match set.support(&pushed) {
@@ -818,27 +775,16 @@ mod tests {
     }
 
     /// The acceptance pin for the multi-dimensional refactor, on the ACC
-    /// closed loop:
-    ///
-    /// * the deprecated planar alias is **bit-identical** to the
-    ///   dimension-generic entry point (it is a thin wrapper — any drift
-    ///   means the wrapper grew logic of its own);
-    /// * the retained exact-hull reference is certified, is contained in
-    ///   the template result, and agrees with it to a few percent in
-    ///   support radius (the `PUSH_TAIL` chain cutoff bounds the
-    ///   template's conservatism) — the committed planar behavior cannot
-    ///   silently degrade.
+    /// closed loop: the retained exact-hull reference is certified, is
+    /// contained in the template result, and agrees with it to a few
+    /// percent in support radius (the `PUSH_TAIL` chain cutoff bounds the
+    /// template's conservatism) — the committed planar behavior cannot
+    /// silently degrade.
     #[test]
     fn rakovic_acc_pins_planar_reference() {
         let (a_cl, w) = acc_closed_loop();
         let opts = InvariantOptions::default();
         let nd = rakovic_rpi_certified(&a_cl, &w, &opts).unwrap();
-        #[allow(deprecated)]
-        let alias = rakovic_rpi_certified_2d(&a_cl, &w, &opts).unwrap();
-        assert_eq!(
-            alias, nd,
-            "the 2-D wrapper drifted from the dimension-generic path"
-        );
         let reference = rakovic_rpi_certified_2d_reference(&a_cl, &w, &opts).unwrap();
         assert!(verify_rpi(&reference, &a_cl, &w, 1e-6).unwrap());
         assert!(

@@ -38,8 +38,6 @@ mod lti;
 mod mpc;
 
 pub use feedback::{dlqr, ControlCache, Controller, LinearFeedback};
-#[allow(deprecated)]
-pub use invariant::rakovic_rpi_certified_2d;
 pub use invariant::{
     certify_template, max_rci, max_rpi, rakovic_rpi, rakovic_rpi_certified,
     rakovic_rpi_certified_2d_reference, robust_controllable_pre, verify_rci, verify_rpi,

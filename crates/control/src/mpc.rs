@@ -22,19 +22,18 @@ use crate::{max_rpi, ConstrainedLti, ControlCache, ControlError, Controller, Inv
 /// the warm-started solver ([`TubeMpc::solve_warm`]) instead of the
 /// bit-stable cold reference path.
 ///
-/// Enabled (read once per process) by `OIC_MPC_WARM=1`/`true`, or
-/// implicitly by forcing the revised LP backend with
-/// `OIC_LP_BACKEND=revised`. Off by default so closed-loop trajectories —
-/// and the committed `BENCH_batch.json` baseline — stay byte-identical to
-/// the pre-template solver; explicit [`TubeMpc::solve_warm`] callers are
-/// unaffected by this switch.
+/// Enabled (read once per process) by `OIC_MPC_WARM=1`/`true`. Off by
+/// default so closed-loop trajectories — and the committed
+/// `BENCH_batch.json` baseline — stay byte-identical to the pre-template
+/// solver; explicit [`TubeMpc::solve_warm`] callers are unaffected by this
+/// switch.
 pub fn warm_mpc_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
         matches!(
             std::env::var("OIC_MPC_WARM").ok().as_deref(),
             Some("1" | "true")
-        ) || oic_lp::forced_backend() == Some(oic_lp::Backend::Revised)
+        )
     })
 }
 
@@ -1117,14 +1116,12 @@ mod tests {
             x = sys.step(&x, warm_sol.first_input(), &[w_dist, 0.0]);
         }
         assert_eq!(warm.solves(), 15);
-        if oic_lp::forced_backend() != Some(oic_lp::Backend::Tableau) {
-            assert!(
-                warm.warm_hits() >= 13,
-                "warm hits: {} of {}",
-                warm.warm_hits(),
-                warm.solves()
-            );
-        }
+        assert!(
+            warm.warm_hits() >= 13,
+            "warm hits: {} of {}",
+            warm.warm_hits(),
+            warm.solves()
+        );
     }
 
     #[test]
@@ -1143,8 +1140,8 @@ mod tests {
 
     #[test]
     fn control_with_cache_matches_control_by_default() {
-        // Without OIC_MPC_WARM / a forced revised backend the cached entry
-        // point must stay on the bit-stable path.
+        // Without OIC_MPC_WARM the cached entry point must stay on the
+        // bit-stable path.
         let mpc = acc_mpc();
         let mut cache = ControlCache::new();
         let cached = mpc.control_with_cache(&[5.0, 2.0], &mut cache).unwrap();

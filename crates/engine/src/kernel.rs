@@ -1,8 +1,9 @@
 //! Throughput-first lockstep episode kernels.
 //!
-//! [`run_chunk`] replays one episode chunk of one cell with the same
-//! observable semantics as the scalar per-episode loop in
-//! [`crate::runner`], restructured for raw speed:
+//! [`run_chunk`] runs one episode chunk of one cell. Each episode's
+//! record equals, bit for bit, the one the per-episode reference
+//! [`crate::run_episode`] computes; the kernel is restructured for raw
+//! speed:
 //!
 //! * **Monomorphized small-dim kernels** — the registry is all `n ∈ {2,
 //!   3, 4}`, so the hot loop is compiled once per state dimension
@@ -24,14 +25,13 @@
 //!
 //! Episodes are mutually independent: every floating-point operation
 //! and every RNG draw belongs to exactly one episode, and the kernel
-//! performs each episode's operations in exactly the scalar order
+//! performs each episode's operations in exactly the reference's order
 //! (tallies → disturbance estimation → monitor → policy → controller →
 //! stats → dropout draw → disturbance draw → plant update → divergence
 //! guard). Lockstep only reorders operations of *different* episodes
 //! against each other — never the operand values or the operation order
 //! within one episode — and chunk accumulators still fold records in
-//! episode order, so the merge tree is bit-identical to the scalar path
-//! at any thread count.
+//! episode order, so the merge tree is the same at any thread count.
 
 use std::cell::Cell;
 
@@ -57,16 +57,15 @@ use crate::runner::{episode_seed, BatchConfig, CellJob, PreparedPolicy};
 /// guarantee check go through `contains`.
 const CONTAINS_TOL: f64 = 1e-7;
 
-/// What one chunk hands back to the scheduler: the same triple the
-/// scalar per-episode loop produces.
+/// What one chunk hands back to the scheduler.
 pub(crate) struct KernelOutput {
     /// Episode records folded in episode order (empty on failure — a
     /// failed chunk never submits to the cell merge).
     pub acc: CellAccumulator,
     /// Per-episode rows when `config.detail` is set.
     pub detail: Vec<EpisodeRecord>,
-    /// The lowest failing `(episode, reason)` of the chunk, matching
-    /// the scalar loop's stop-at-first-failure semantics.
+    /// The lowest failing `(episode, reason)` of the chunk: the lowest
+    /// failing episode wins and episodes above it are abandoned.
     pub failure: Option<(usize, String)>,
 }
 
@@ -156,8 +155,8 @@ fn flatten(m: &Matrix) -> Vec<f64> {
 
 /// How one episode resolves its skip decision inside the kernel.
 enum EpPolicy {
-    /// Analytic policies run through the exact same boxed object the
-    /// scalar path builds, so stateful policies (periodic counters,
+    /// Analytic policies run through the exact same boxed object
+    /// [`crate::run_episode`] builds, so stateful policies (periodic counters,
     /// seeded random draws) advance identically.
     Boxed(Box<dyn SkipPolicy>),
     /// Max-skip needs only a membership test against the shared
@@ -190,8 +189,8 @@ enum Action {
 
 /// Runs episodes `start..end` of one cell in lockstep. `marker` tracks
 /// the episode currently being computed so the caller's unwind boundary
-/// can attribute a panic (injected faults panic at the episode's
-/// initialization, in episode order, exactly like the scalar loop).
+/// can attribute a panic (an injected panic fires at its episode's
+/// initialization, and episodes are initialized in order).
 pub(crate) fn run_chunk(
     job: &CellJob<'_>,
     config: &BatchConfig,
@@ -265,15 +264,14 @@ fn run_chunk_impl<const N: usize>(
     let mut caches: Vec<ControlCache> = Vec::with_capacity(count);
     let mut nan_steps: Vec<Option<usize>> = Vec::with_capacity(count);
     // The lowest failing episode so far; episodes above it are
-    // abandoned (their chunk is already failed and the scalar loop
-    // would never have reached them), episodes below keep running
-    // because an earlier failure must win deterministically.
+    // abandoned (their chunk is already failed), episodes below keep
+    // running because an earlier failure must win deterministically.
     let mut failure: Option<(usize, String)> = None;
 
     // Per-episode initialization, in episode order (an injected panic
     // fires here, attributed to its episode via `marker`). Every RNG
-    // stream is derived from the episode seed alone, exactly as the
-    // scalar loop derives it.
+    // stream is derived from the episode seed alone, exactly as
+    // `run_episode` derives it.
     for slot in 0..count {
         let episode = start + slot;
         marker.set(episode);
@@ -345,7 +343,7 @@ fn run_chunk_impl<const N: usize>(
                 invariant_violations[s] += 1;
             }
             if has_prev[s] {
-                // w = x − (A·x_prev + B·u_prev), the scalar loop's
+                // w = x − (A·x_prev + B·u_prev), the runtime's
                 // `step_nominal` + `sub`, row accumulators from 0.0.
                 let xp = &prev_x[s * n..(s + 1) * n];
                 let up = &prev_u[s * m..(s + 1) * m];
@@ -556,8 +554,7 @@ fn run_chunk_impl<const N: usize>(
         }
 
         // Retire escaped/failed episodes; once a failure exists, also
-        // abandon every episode above it (the chunk is failed and the
-        // scalar loop would have stopped before reaching them; only a
+        // abandon every episode above it (the chunk is failed; only a
         // lower-index episode could still change the reported failure).
         let cutoff = failure.as_ref().map(|(e, _)| *e);
         live.retain(|&s| status[s] == Status::Alive && cutoff.is_none_or(|e| start + s < e));
@@ -572,8 +569,7 @@ fn run_chunk_impl<const N: usize>(
     }
 
     // Every episode completed (or escaped): the final post-step state
-    // tally, then records folded in episode order — the same Welford
-    // sequence the scalar loop produces.
+    // tally, then records folded in episode order.
     let mut acc = CellAccumulator::new();
     let mut detail = Vec::with_capacity(if config.detail { count } else { 0 });
     for s in 0..count {

@@ -8,8 +8,11 @@
 //! * [`run_batch`] chunks every `(scenario, policy)` cell into
 //!   episode-range tasks and drains them all through one work-stealing
 //!   pool ([`run_work_stealing`]: global injector + per-worker deques,
-//!   pure `std`), one [`IntermittentController`] (Algorithm 1) per
-//!   episode;
+//!   pure `std`); each chunk runs its episodes through the lockstep
+//!   kernel, which steps them together and performs every episode's
+//!   Algorithm 1 operations in exactly the order of [`run_episode`], the
+//!   one-episode [`IntermittentController`] reference it is tested
+//!   against record for record;
 //! * aggregation streams: each chunk folds its episodes into a
 //!   [`CellAccumulator`] (Welford means/variances, saturating safety
 //!   tallies) and chunks merge in deterministic chunk order — memory is
@@ -67,8 +70,8 @@ pub use oic_faults::{CellFault, DropoutSpec, FaultPlan};
 pub use report::{BatchReport, CellOutcome, CellReport, EpisodeRecord};
 pub use runner::{
     episode_seed, executed_throughput, run_batch, run_batch_opts, run_batch_with_stats,
-    run_episode, run_episode_opts, BatchConfig, CellTiming, EngineError, EpisodeFaults,
-    ExecutedThroughput, KernelChoice, PolicySpec, PreparedPolicy, SweepOptions, SweepStats,
+    run_episode, BatchConfig, CellTiming, EngineError, ExecutedThroughput, PolicySpec,
+    PreparedPolicy, SweepOptions, SweepStats,
 };
 pub use spec::{
     canonical_policy, cell_hash, cell_hash_canonical, parse_policy, ShardInfo, SweepSpec,

@@ -411,57 +411,15 @@ pub fn episode_seed(base: u64, scenario: &str, policy: &str, episode: usize) -> 
     hash
 }
 
-/// Fault-injection knobs for one episode ([`run_episode_opts`]).
+/// Runs one episode against a prebuilt scenario instance through
+/// [`oic_core::IntermittentController`] (Algorithm 1), optionally under
+/// environment-forced actuation dropout (`None` means no dropout axis).
 ///
-/// The default is a clean, fault-free episode — exactly what
-/// [`run_episode`] runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpisodeFaults<'a> {
-    /// Environment-forced actuation dropout: the actuator occasionally
-    /// refuses the commanded input and the plant coasts on the skip
-    /// input instead. `None` means no dropout axis.
-    pub dropout: Option<&'a DropoutSpec>,
-    /// Infrastructure fault: overwrite the first state component with
-    /// NaN after this step's plant update (the divergence guard then
-    /// fails the episode deterministically).
-    pub nan_step: Option<usize>,
-}
-
-/// Runs one episode against a prebuilt scenario instance.
-///
-/// The engine owns the plant stepping (`x⁺ = Ax + Bu + w`), so episodes
-/// are exact closed-loop rollouts of the model the certificates cover.
-///
-/// # Errors
-///
-/// Propagates runtime failures ([`CoreError::OutsideInvariant`] can only
-/// happen if a disturbance process escapes `W` — a scenario bug).
-/// Under an active dropout axis the same condition is an expected
-/// consequence of voiding Theorem 1's premise, so it ends the episode
-/// early with its violations tallied instead of erroring.
-pub fn run_episode(
-    instance: &ScenarioInstance,
-    scenario: &dyn Scenario,
-    prepared: &PreparedPolicy,
-    episode: usize,
-    steps: usize,
-    memory: usize,
-    seed: u64,
-) -> Result<EpisodeRecord, CoreError> {
-    run_episode_opts(
-        instance,
-        scenario,
-        prepared,
-        episode,
-        steps,
-        memory,
-        seed,
-        EpisodeFaults::default(),
-    )
-}
-
-/// [`run_episode`] with fault injection: environment-forced actuation
-/// dropout and/or a planted NaN plant update.
+/// Sweeps run their episodes through the lockstep kernel; this function
+/// is the scalar reference that kernel is tested against, record for
+/// record (`tests/lockstep_equiv.rs`). The engine owns the plant
+/// stepping (`x⁺ = Ax + Bu + w`), so episodes are exact closed-loop
+/// rollouts of the model the certificates cover.
 ///
 /// The dropout stream is drawn **every step** regardless of the policy's
 /// decision, so the realized fault pattern is a pure function of the
@@ -478,10 +436,14 @@ pub fn run_episode(
 ///
 /// # Errors
 ///
-/// The [`run_episode`] contract plus [`CoreError::NonFinite`] from the
-/// divergence guard.
+/// * [`CoreError::OutsideInvariant`] from the runtime, which can only
+///   happen if a disturbance process escapes `W` — a scenario bug.
+///   Under an active dropout axis the same condition is an expected
+///   consequence of voiding Theorem 1's premise, so it ends the episode
+///   early with its violations tallied instead of erroring.
+/// * [`CoreError::NonFinite`] from the divergence guard.
 #[allow(clippy::too_many_arguments)]
-pub fn run_episode_opts(
+pub fn run_episode(
     instance: &ScenarioInstance,
     scenario: &dyn Scenario,
     prepared: &PreparedPolicy,
@@ -489,7 +451,7 @@ pub fn run_episode_opts(
     steps: usize,
     memory: usize,
     seed: u64,
-    faults: EpisodeFaults<'_>,
+    dropout: Option<&DropoutSpec>,
 ) -> Result<EpisodeRecord, CoreError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -501,8 +463,7 @@ pub fn run_episode_opts(
     let sys = instance.sets().plant().system().clone();
     let safe = instance.sets().safe();
     let invariant = instance.sets().invariant();
-    let mut dropout = faults
-        .dropout
+    let mut dropout = dropout
         .filter(|spec| !spec.is_none())
         .map(|spec| spec.stream(seed));
 
@@ -547,9 +508,6 @@ pub fn run_episode_opts(
         }
         let w = process.next(t);
         x = sys.step(&x, &decision.input, &w);
-        if faults.nan_step == Some(t) {
-            x[0] = f64::NAN;
-        }
         if !x.iter().all(|v| v.is_finite() && v.abs() < 1e12) {
             return Err(CoreError::NonFinite { step: t });
         }
@@ -650,37 +608,6 @@ impl CellMerge {
     }
 }
 
-/// Which episode-loop implementation a sweep runs.
-///
-/// Both produce byte-identical reports (see the `kernel` module's docs
-/// for why); the choice only trades wall-clock speed against the
-/// scalar loop's per-episode telemetry spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// The lockstep kernel, unless `OIC_EPISODE_KERNEL=scalar` is set in
-    /// the environment (the escape hatch for A/B timing and debugging).
-    #[default]
-    Auto,
-    /// Force the lockstep kernel.
-    Lockstep,
-    /// Force the scalar per-episode reference loop.
-    Scalar,
-}
-
-impl KernelChoice {
-    /// Resolves the effective choice (consults the environment once per
-    /// sweep, not per chunk).
-    fn lockstep(self) -> bool {
-        match self {
-            KernelChoice::Lockstep => true,
-            KernelChoice::Scalar => false,
-            KernelChoice::Auto => {
-                !matches!(std::env::var("OIC_EPISODE_KERNEL").as_deref(), Ok("scalar"))
-            }
-        }
-    }
-}
-
 /// Optional sweep behaviors layered over the plain batch run: scenario
 /// filtering, shard selection, the content-addressed cell cache, and a
 /// cell-completion callback.
@@ -719,9 +646,6 @@ pub struct SweepOptions<'a> {
     /// byte-reproducible at any thread count. Faulted cells bypass the
     /// cache and degrade to `Failed` report entries.
     pub faults: Option<&'a FaultPlan>,
-    /// Episode-loop implementation (lockstep kernel vs scalar reference
-    /// loop); both produce byte-identical reports.
-    pub kernel: KernelChoice,
 }
 
 /// The [`SweepOptions::on_cell`] completion callback: `(global cell
@@ -737,7 +661,6 @@ impl std::fmt::Debug for SweepOptions<'_> {
             .field("on_cell", &self.on_cell.is_some())
             .field("dropouts", &self.dropouts)
             .field("faults", &self.faults)
-            .field("kernel", &self.kernel)
             .finish()
     }
 }
@@ -1006,7 +929,6 @@ pub fn run_batch_opts(
         }
     }
 
-    let lockstep = opts.kernel.lockstep();
     let merges: Vec<Mutex<CellMerge>> = run.iter().map(|_| Mutex::new(CellMerge::new())).collect();
     // Per-cell failure slot: the lowest (chunk, episode) failure of the
     // cell. Every chunk always runs and stops at its *own* first
@@ -1029,83 +951,26 @@ pub fn run_batch_opts(
         let chunk_started = Instant::now();
         let start = task.chunk * chunk_size;
         let end = (start + chunk_size).min(config.episodes);
-        let mut acc = CellAccumulator::new();
-        let mut detail = Vec::with_capacity(if config.detail { end - start } else { 0 });
-        let mut chunk_failure: Option<(usize, String)> = None;
-        if lockstep {
-            // The lockstep kernel replays the whole chunk behind one
-            // unwind boundary; `marker` carries the episode being
-            // computed so a panic — injected or genuine — degrades to
-            // the same Failed-cell bytes the scalar loop produces.
-            let marker = std::cell::Cell::new(start);
-            match catch_unwind(AssertUnwindSafe(|| {
-                crate::kernel::run_chunk(job, config, start, end, &marker)
-            })) {
-                Ok(output) => {
-                    acc = output.acc;
-                    detail = output.detail;
-                    chunk_failure = output.failure;
-                }
-                Err(payload) => {
-                    chunk_failure = Some((
-                        marker.get(),
-                        format!("panicked: {}", panic_message(&*payload)),
-                    ));
-                }
-            }
-        } else {
-            for episode in start..end {
-                let _span = oic_obs::span("engine.episode", "engine");
-                let seed = episode_seed(config.seed, job.instance.name(), &job.label, episode);
-                let inject_panic =
-                    matches!(job.fault, CellFault::Panic { episode: e } if e == episode);
-                let nan_step = match job.fault {
-                    CellFault::Nan { episode: e, step } if e == episode => Some(step),
-                    _ => None,
-                };
-                // The unwind boundary is what turns a panicking episode —
-                // injected or genuine — into a Failed *cell* instead of an
-                // aborted process. Everything captured is either read-only
-                // or chunk-local, so observing it after an unwind is sound;
-                // a partially-updated chunk accumulator is discarded with
-                // the chunk anyway.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if inject_panic {
-                        panic!("injected fault: worker panic at episode {episode}");
-                    }
-                    run_episode_opts(
-                        &job.instance,
-                        job.scenario,
-                        &job.prepared,
-                        episode,
-                        config.steps,
-                        config.memory,
-                        seed,
-                        EpisodeFaults {
-                            dropout: Some(&job.dropout),
-                            nan_step,
-                        },
-                    )
-                }));
-                match result {
-                    Ok(Ok(record)) => {
-                        acc.push(&record);
-                        if config.detail {
-                            detail.push(record);
-                        }
-                    }
-                    Ok(Err(source)) => {
-                        chunk_failure = Some((episode, source.to_string()));
-                        break;
-                    }
-                    Err(payload) => {
-                        chunk_failure =
-                            Some((episode, format!("panicked: {}", panic_message(&*payload))));
-                        break;
-                    }
-                }
-            }
-        }
+        // The lockstep kernel replays the whole chunk behind one unwind
+        // boundary, which turns a panicking episode — injected or
+        // genuine — into a Failed *cell* instead of an aborted process;
+        // `marker` carries the episode being computed so the failure
+        // names it. Everything captured is either read-only or
+        // chunk-local, so observing it after an unwind is sound.
+        let marker = std::cell::Cell::new(start);
+        let (acc, detail, chunk_failure) = match catch_unwind(AssertUnwindSafe(|| {
+            crate::kernel::run_chunk(job, config, start, end, &marker)
+        })) {
+            Ok(output) => (output.acc, output.detail, output.failure),
+            Err(payload) => (
+                CellAccumulator::new(),
+                Vec::new(),
+                Some((
+                    marker.get(),
+                    format!("panicked: {}", panic_message(&*payload)),
+                )),
+            ),
+        };
         let wall_ns = chunk_started.elapsed().as_nanos() as u64;
         oic_obs::histogram!("engine.chunk_ns", "ns").record(wall_ns);
         if let Some((episode, reason)) = chunk_failure {

@@ -1,17 +1,20 @@
-//! Lockstep episode kernel ⇔ scalar reference loop equivalence.
+//! Lockstep episode kernel ⇔ scalar reference equivalence.
 //!
 //! The lockstep kernel's whole contract is that it changes *when* work
 //! happens, never *what* is computed: per-episode RNG streams, dropout
 //! draws, and every floating-point operation execute in exactly the
-//! scalar order, so the JSON report — aggregates and per-episode detail
-//! alike — must be **byte-identical** under either kernel, at any
-//! thread count. These tests pin that contract end to end through the
-//! public API, across state dimensions 2–4 (monomorphized kernels) and
-//! the dynamic-dimension fallback inputs, with and without actuation
-//! dropouts, and with learned (DRL) and tube-MPC cells in the roster.
+//! order of the one-episode reference [`run_episode`] (Algorithm 1
+//! through `IntermittentController`). These tests pin that contract end
+//! to end through the public API: every sweep runs with per-episode
+//! detail, and every record it reports must equal the reference's record
+//! for the same cell and episode **bit for bit** — across state
+//! dimensions 2–4 (monomorphized kernels), thread counts {1, 8}, with and
+//! without actuation dropouts, and with learned (DRL) and tube-MPC cells
+//! in the roster.
 
 use oic_engine::{
-    run_batch_opts, BatchConfig, DropoutSpec, KernelChoice, PolicySpec, SweepOptions,
+    episode_seed, run_batch_opts, run_episode, BatchConfig, DropoutSpec, EpisodeRecord, PolicySpec,
+    SweepOptions,
 };
 use oic_scenarios::{
     AccScenario, CstrScenario, DoubleIntegratorScenario, ScenarioRegistry, TwoMassSpringScenario,
@@ -20,21 +23,76 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One sweep rendered to its canonical JSON bytes.
-fn sweep_json(
+/// Every field of a record as raw bits, so `-0.0`/`0.0` and distinct NaN
+/// payloads cannot compare equal by accident.
+fn record_bits(r: &EpisodeRecord) -> [u64; 11] {
+    [
+        r.episode as u64,
+        r.seed,
+        r.stats.steps as u64,
+        r.stats.skipped as u64,
+        r.stats.forced_runs as u64,
+        r.stats.policy_runs as u64,
+        r.stats.actuation_effort.to_bits(),
+        r.safety_violations as u64,
+        r.invariant_violations as u64,
+        r.min_safe_slack.to_bits(),
+        r.forced_skips as u64,
+    ]
+}
+
+/// Runs one detail sweep and checks that it covers the whole grid and
+/// that each of its episode records equals [`run_episode`]'s, bit for
+/// bit. Returns the number of records compared.
+fn assert_matches_reference(
     registry: &ScenarioRegistry,
     policies: &[PolicySpec],
     config: &BatchConfig,
     dropouts: &[DropoutSpec],
-    kernel: KernelChoice,
-) -> String {
+) -> usize {
     let opts = SweepOptions {
         dropouts: Some(dropouts),
-        kernel,
         ..Default::default()
     };
     let (report, _) = run_batch_opts(registry, policies, config, &opts).expect("sweep runs");
-    report.to_json(true).to_json()
+    let mut compared = 0;
+    for cell in &report.cells {
+        let context = format!("{}/{}/{}", cell.scenario, cell.policy, cell.dropout);
+        assert!(!cell.is_failed(), "{context}: {:?}", cell.outcome);
+        assert_eq!(cell.episodes_detail.len(), config.episodes, "{context}");
+        let scenario = registry.get(&cell.scenario).expect("registered scenario");
+        let instance = scenario.build().expect("scenario certifies");
+        let policy = policies
+            .iter()
+            .find(|p| p.label() == cell.policy)
+            .expect("roster policy");
+        let prepared = policy.prepare(instance.sets()).expect("policy prepares");
+        let dropout = dropouts
+            .iter()
+            .find(|d| d.label() == cell.dropout)
+            .expect("dropout variant");
+        for (episode, record) in cell.episodes_detail.iter().enumerate() {
+            let seed = episode_seed(config.seed, &cell.scenario, &cell.policy, episode);
+            let reference = run_episode(
+                &instance,
+                scenario,
+                &prepared,
+                episode,
+                config.steps,
+                config.memory,
+                seed,
+                Some(dropout),
+            )
+            .expect("reference episode runs");
+            assert_eq!(
+                record_bits(record),
+                record_bits(&reference),
+                "{context} episode {episode}: lockstep {record:?} vs reference {reference:?}"
+            );
+            compared += 1;
+        }
+    }
+    compared
 }
 
 fn test_blob(sizes: &[usize], seed: u64) -> Vec<u8> {
@@ -46,10 +104,10 @@ fn test_blob(sizes: &[usize], seed: u64) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-    /// Reports are byte-identical between kernels across state dims 2–4,
+    /// Lockstep records equal the reference's across state dims 2–4,
     /// thread counts {1, 8}, and dropout axes {none, mk-1-4}.
     #[test]
-    fn lockstep_matches_scalar_bytes(
+    fn lockstep_records_match_reference(
         scenario_ix in 0..3usize,
         threads_ix in 0..2usize,
         with_dropout in 0..2usize,
@@ -80,18 +138,16 @@ proptest! {
         } else {
             &[DropoutSpec::None]
         };
-        let lockstep =
-            sweep_json(&registry, &policies, &config, dropouts, KernelChoice::Lockstep);
-        let scalar = sweep_json(&registry, &policies, &config, dropouts, KernelChoice::Scalar);
-        prop_assert_eq!(lockstep, scalar);
+        let compared = assert_matches_reference(&registry, &policies, &config, dropouts);
+        prop_assert_eq!(compared, policies.len() * dropouts.len() * config.episodes);
     }
 }
 
 /// A roster mixing tube-MPC actuation (acc) with a learned skipping
 /// policy exercises the kernel's LP-solver and batched-MLP paths; the
-/// bytes must still match the scalar loop at both thread counts.
+/// records must still match the reference at both thread counts.
 #[test]
-fn mpc_and_drl_roster_is_kernel_invariant() {
+fn mpc_and_drl_roster_matches_reference() {
     let mut registry = ScenarioRegistry::new();
     registry.register(Box::new(AccScenario::default()));
     registry.register(Box::new(DoubleIntegratorScenario));
@@ -110,20 +166,12 @@ fn mpc_and_drl_roster_is_kernel_invariant() {
             detail: true,
             ..Default::default()
         };
-        let lockstep = sweep_json(
-            &registry,
-            &policies,
-            &config,
-            &[DropoutSpec::None],
-            KernelChoice::Lockstep,
+        let compared =
+            assert_matches_reference(&registry, &policies, &config, &[DropoutSpec::None]);
+        assert_eq!(
+            compared,
+            registry.len() * policies.len() * config.episodes,
+            "threads = {threads}"
         );
-        let scalar = sweep_json(
-            &registry,
-            &policies,
-            &config,
-            &[DropoutSpec::None],
-            KernelChoice::Scalar,
-        );
-        assert_eq!(lockstep, scalar, "threads = {threads}");
     }
 }

@@ -1,7 +1,7 @@
 //! Planar convex hulls and V-rep → H-rep conversion.
 //!
-//! Used by the zonotope → polytope conversion and by 2-D Minkowski sums
-//! (vertex sums followed by a hull). Only the 2-D case is needed: the ACC
+//! Used by the zonotope → polytope conversion and by the planar
+//! vertex-sum Minkowski reference (vertex sums followed by a hull). Only the 2-D case is needed: the ACC
 //! case study has a 2-dimensional state, and higher-dimensional sets in this
 //! workspace stay in H-rep or zonotope form.
 
@@ -124,26 +124,6 @@ pub fn polytope_from_points_2d(points: &[[f64; 2]]) -> Result<Polytope, GeomErro
     }
 }
 
-/// Exact Minkowski sum of two bounded 2-D polytopes.
-///
-/// Deprecated thin wrapper: the sum is now computed by the
-/// dimension-generic [`Polytope::minkowski_sum`] (lifted formulation +
-/// Fourier–Motzkin projection); the original vertex-hull construction is
-/// retained as [`minkowski_sum_2d_vertex_reference`] and the two are
-/// cross-checked by property tests.
-///
-/// # Errors
-///
-/// * [`GeomError::NotTwoDimensional`] — either operand is not 2-D.
-/// * [`GeomError::EmptySet`] — either operand is empty.
-#[deprecated(note = "use the dimension-generic `Polytope::minkowski_sum`")]
-pub fn minkowski_sum_2d(a: &Polytope, b: &Polytope) -> Result<Polytope, GeomError> {
-    if a.dim() != 2 || b.dim() != 2 {
-        return Err(GeomError::NotTwoDimensional);
-    }
-    a.minkowski_sum(b)
-}
-
 /// The pre-refactor planar Minkowski sum — vertex sums followed by a
 /// convex hull — retained as the independent reference the n-D projection
 /// path is property-tested against.
@@ -228,8 +208,7 @@ mod tests {
     fn minkowski_sum_of_boxes() {
         let a = Polytope::from_box(&[-1.0, -1.0], &[1.0, 1.0]);
         let b = Polytope::from_box(&[-0.5, -0.25], &[0.5, 0.25]);
-        #[allow(deprecated)]
-        let s = minkowski_sum_2d(&a, &b).unwrap();
+        let s = a.minkowski_sum(&b).unwrap();
         assert!(s.contains(&[1.5, 1.25]));
         assert!(!s.contains(&[1.6, 0.0]));
         assert!(!s.contains(&[0.0, 1.3]));
@@ -240,8 +219,7 @@ mod tests {
         // Box ⊕ vertical segment grows only vertically.
         let a = Polytope::from_box(&[-1.0, -1.0], &[1.0, 1.0]);
         let seg = polytope_from_points_2d(&[[0.0, -0.5], [0.0, 0.5]]).unwrap();
-        #[allow(deprecated)]
-        let s = minkowski_sum_2d(&a, &seg).unwrap();
+        let s = a.minkowski_sum(&seg).unwrap();
         assert!(s.contains(&[1.0, 1.5]));
         assert!(!s.contains(&[1.1, 0.0]));
     }

@@ -34,8 +34,6 @@ mod support;
 mod zonotope;
 
 pub use halfspace::Halfspace;
-#[allow(deprecated)]
-pub use hull2d::minkowski_sum_2d;
 pub use hull2d::{convex_hull_2d, minkowski_sum_2d_vertex_reference, polytope_from_points_2d};
 pub use polytope::Polytope;
 pub use support::{AffineImage, SupportFunction};

@@ -219,17 +219,14 @@ impl Polytope {
             other.dim(),
             "dimension mismatch in Minkowski difference"
         );
-        // One batched support query over all facet normals: when `other`
-        // is LP-backed and the revised backend is active, the whole loop
-        // reuses a single warm-started program.
-        let normals: Vec<&[f64]> = self.halfspaces.iter().map(|h| h.normal()).collect();
-        let shrinks = other.support_batch(&normals)?;
         let halfspaces = self
             .halfspaces
             .iter()
-            .zip(shrinks)
-            .map(|(h, shrink)| Halfspace::new(h.normal().to_vec(), h.offset() - shrink))
-            .collect();
+            .map(|h| {
+                let shrink = other.support(h.normal())?;
+                Ok(Halfspace::new(h.normal().to_vec(), h.offset() - shrink))
+            })
+            .collect::<Result<_, GeomError>>()?;
         Ok(Polytope {
             dim: self.dim,
             halfspaces,
@@ -240,15 +237,15 @@ impl Polytope {
     /// formulation `{ (x, y) : x − y ∈ self, y ∈ other }` projected back
     /// onto `x` by Fourier–Motzkin elimination.
     ///
-    /// This replaces the planar vertex-hull construction
-    /// ([`crate::minkowski_sum_2d`]) as the dimension-generic path; for
-    /// sums with zonotopes prefer staying in generator form
+    /// The planar vertex-hull construction
+    /// ([`crate::minkowski_sum_2d_vertex_reference`]) is the independent
+    /// oracle this path is property-tested against; for sums with
+    /// zonotopes prefer staying in generator form
     /// ([`crate::Zonotope::minkowski_sum`]), which is exact and cheap.
     ///
     /// # Errors
     ///
-    /// Returns [`GeomError::EmptySet`] when either operand is empty (the
-    /// 2-D contract, kept so the deprecated wrapper is drop-in).
+    /// Returns [`GeomError::EmptySet`] when either operand is empty.
     ///
     /// # Panics
     ///
@@ -375,23 +372,6 @@ impl Polytope {
     /// Panics if the dimensions differ.
     pub fn is_subset_of(&self, other: &Polytope, tol: f64) -> Result<bool, GeomError> {
         assert_eq!(self.dim, other.dim, "dimension mismatch in inclusion test");
-        // When the revised backend is forced, all facet supports run
-        // through one warm-started LP (same gate as `support_batch`); the
-        // default path keeps per-facet solves with early exit, bit- and
-        // work-identical to the pre-batch code.
-        if other.halfspaces.len() >= 2 && oic_lp::forced_backend() == Some(oic_lp::Backend::Revised)
-        {
-            let normals: Vec<&[f64]> = other.halfspaces.iter().map(|h| h.normal()).collect();
-            return match self.support_batch(&normals) {
-                Ok(sup) => Ok(sup
-                    .iter()
-                    .zip(&other.halfspaces)
-                    .all(|(v, h)| *v <= h.offset() + tol)),
-                Err(GeomError::EmptySet) => Ok(true),
-                Err(GeomError::Unbounded) => Ok(false),
-                Err(e) => Err(e),
-            };
-        }
         for h in &other.halfspaces {
             match self.support(h.normal()) {
                 Ok(v) => {
@@ -450,18 +430,7 @@ impl Polytope {
             }
         }
 
-        // LP-based redundancy filter. When the revised LP backend is
-        // forced process-wide, all tests ride one compiled warm-start
-        // template (shape-stable rows, RHS-only updates) — the batched
-        // path Fourier–Motzkin elimination leans on. The default path is
-        // the original one-cold-LP-per-row loop, kept bit-identical.
-        let filtered =
-            if rows.len() >= 3 && oic_lp::forced_backend() == Some(oic_lp::Backend::Revised) {
-                self.redundancy_filter_warm(&rows)
-            } else {
-                self.redundancy_filter_cold(&rows)
-            };
-        let Some(keep) = filtered else {
+        let Some(keep) = redundancy_filter(&rows) else {
             // Infeasible even with a row relaxed: the polytope is empty;
             // return a canonical empty set.
             return Polytope::new(self.dim, vec![Halfspace::new(vec![0.0; self.dim], -1.0)]);
@@ -475,88 +444,6 @@ impl Polytope {
             dim: self.dim,
             halfspaces,
         }
-    }
-
-    /// The original sequential redundancy filter: one cold LP per row,
-    /// already-dropped rows excluded from later tests. Returns the keep
-    /// mask, or `None` when the system is infeasible (empty polytope).
-    fn redundancy_filter_cold(&self, rows: &[Halfspace]) -> Option<Vec<bool>> {
-        let mut keep = vec![true; rows.len()];
-        for i in 0..rows.len() {
-            if rows[i].normalized().is_none() {
-                continue; // infeasibility witness row, always kept
-            }
-            // Maximize aᵢ·x subject to all other kept rows, with aᵢ·x ≤ bᵢ+1
-            // added to keep the LP bounded in the test direction.
-            let mut lp = LinearProgram::maximize(rows[i].normal());
-            let mut has_others = false;
-            for (j, r) in rows.iter().enumerate() {
-                if j == i || !keep[j] {
-                    continue;
-                }
-                lp.add_le(r.normal(), r.offset());
-                has_others = true;
-            }
-            if !has_others {
-                continue;
-            }
-            lp.add_le(rows[i].normal(), rows[i].offset() + 1.0);
-            match lp.solve() {
-                Ok(sol) => {
-                    if sol.objective() <= rows[i].offset() + INCLUSION_TOL {
-                        keep[i] = false;
-                    }
-                }
-                Err(oic_lp::LpError::Infeasible) => return None,
-                Err(_) => { /* keep the row on numerical failure: safe */ }
-            }
-        }
-        Some(keep)
-    }
-
-    /// Warm-templated redundancy filter: one `LinearProgram` holding every
-    /// candidate row is compiled once; per test only the objective and the
-    /// RHS vector change, so the revised backend carries its basis and
-    /// factorization across the whole sweep (the per-elimination pruning
-    /// of [`Polytope::eliminate`] is the hot caller — an elimination step
-    /// tests `O(rows)` candidates against the same constraint matrix).
-    ///
-    /// Dropped rows stay in the template with their RHS relaxed by the
-    /// same `+1` used for the tested row — the shape-stable equivalent of
-    /// excluding them (a dropped row is implied by the kept rows within
-    /// tolerance, so its relaxed copy is inactive on the kept region,
-    /// while near-parallel pairs still block each other from being
-    /// dropped jointly).
-    fn redundancy_filter_warm(&self, rows: &[Halfspace]) -> Option<Vec<bool>> {
-        let mut keep = vec![true; rows.len()];
-        let mut lp = LinearProgram::maximize(rows[0].normal());
-        let mut rhs: Vec<f64> = Vec::with_capacity(rows.len());
-        for r in rows {
-            lp.add_le(r.normal(), r.offset());
-            rhs.push(r.offset());
-        }
-        let mut warm = oic_lp::WarmStart::new();
-        for i in 0..rows.len() {
-            if rows[i].normalized().is_none() {
-                continue; // infeasibility witness row, always kept
-            }
-            rhs[i] = rows[i].offset() + 1.0;
-            lp.set_objective(rows[i].normal());
-            match lp.solve_warm_with_rhs(&rhs, &mut warm) {
-                Ok(sol) => {
-                    if sol.objective() <= rows[i].offset() + INCLUSION_TOL {
-                        keep[i] = false; // leave rhs[i] relaxed
-                    } else {
-                        rhs[i] = rows[i].offset();
-                    }
-                }
-                Err(oic_lp::LpError::Infeasible) => return None,
-                Err(_) => {
-                    rhs[i] = rows[i].offset(); // keep the row: safe
-                }
-            }
-        }
-        Some(keep)
     }
 
     /// An extreme point achieving the support value in direction `d`
@@ -649,6 +536,43 @@ impl Polytope {
     }
 }
 
+/// Sequential LP redundancy filter: one LP per row, already-dropped rows
+/// excluded from later tests. Returns the keep mask, or `None` when the
+/// system is infeasible (empty polytope).
+fn redundancy_filter(rows: &[Halfspace]) -> Option<Vec<bool>> {
+    let mut keep = vec![true; rows.len()];
+    for i in 0..rows.len() {
+        if rows[i].normalized().is_none() {
+            continue; // infeasibility witness row, always kept
+        }
+        // Maximize aᵢ·x subject to all other kept rows, with aᵢ·x ≤ bᵢ+1
+        // added to keep the LP bounded in the test direction.
+        let mut lp = LinearProgram::maximize(rows[i].normal());
+        let mut has_others = false;
+        for (j, r) in rows.iter().enumerate() {
+            if j == i || !keep[j] {
+                continue;
+            }
+            lp.add_le(r.normal(), r.offset());
+            has_others = true;
+        }
+        if !has_others {
+            continue;
+        }
+        lp.add_le(rows[i].normal(), rows[i].offset() + 1.0);
+        match lp.solve() {
+            Ok(sol) => {
+                if sol.objective() <= rows[i].offset() + INCLUSION_TOL {
+                    keep[i] = false;
+                }
+            }
+            Err(oic_lp::LpError::Infeasible) => return None,
+            Err(_) => { /* keep the row on numerical failure: safe */ }
+        }
+    }
+    Some(keep)
+}
+
 impl SupportFunction for Polytope {
     fn dim(&self) -> usize {
         self.dim
@@ -676,38 +600,6 @@ impl SupportFunction for Polytope {
         }
         let sol = lp.solve().map_err(GeomError::from)?;
         Ok(sol.objective())
-    }
-
-    /// Batched support: one LP over the polytope's constraints, re-targeted
-    /// per direction and re-solved **warm** (the feasible region never
-    /// changes, so the previous optimal basis stays primal feasible and
-    /// each re-solve is a handful of pivots).
-    ///
-    /// The warm path only engages when the revised LP backend is forced
-    /// process-wide (`OIC_LP_BACKEND=revised`): under the default backend
-    /// selection every solve must stay bit-identical to the one-shot
-    /// [`support`](SupportFunction::support) calls that the committed
-    /// baselines were recorded with.
-    fn support_batch(&self, directions: &[&[f64]]) -> Result<Vec<f64>, GeomError> {
-        if directions.len() < 2
-            || self.halfspaces.is_empty()
-            || oic_lp::forced_backend() != Some(oic_lp::Backend::Revised)
-        {
-            return directions.iter().map(|d| self.support(d)).collect();
-        }
-        let mut lp = LinearProgram::maximize(directions[0]);
-        for h in &self.halfspaces {
-            lp.add_le(h.normal(), h.offset());
-        }
-        let mut warm = oic_lp::WarmStart::new();
-        let mut out = Vec::with_capacity(directions.len());
-        for d in directions {
-            assert_eq!(d.len(), self.dim, "direction dimension mismatch");
-            lp.set_objective(d);
-            let sol = lp.solve_warm(&mut warm).map_err(GeomError::from)?;
-            out.push(sol.objective());
-        }
-        Ok(out)
     }
 }
 
@@ -914,34 +806,6 @@ mod tests {
     fn area_of_degenerate_box_is_zero() {
         let flat = Polytope::from_box(&[-1.0, 0.0], &[1.0, 0.0]);
         assert!(flat.area_2d().unwrap().abs() < 1e-9);
-    }
-
-    #[test]
-    fn support_batch_matches_single_queries() {
-        let p = Polytope::new(
-            2,
-            vec![
-                Halfspace::new(vec![1.0, 0.3], 2.0),
-                Halfspace::new(vec![-1.0, 0.2], 1.5),
-                Halfspace::new(vec![0.1, 1.0], 1.0),
-                Halfspace::new(vec![-0.2, -1.0], 2.5),
-            ],
-        );
-        let dirs: Vec<Vec<f64>> = vec![
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![-1.0, 2.0],
-            vec![3.0, -0.5],
-        ];
-        let views: Vec<&[f64]> = dirs.iter().map(Vec::as_slice).collect();
-        let batch = p.support_batch(&views).unwrap();
-        for (d, b) in dirs.iter().zip(&batch) {
-            let single = p.support(d).unwrap();
-            assert!(
-                (single - b).abs() < 1e-9,
-                "batch {b} vs single {single} in {d:?}"
-            );
-        }
     }
 
     #[test]

@@ -10,13 +10,8 @@
 //!   `Pre(Ω) = proj_x { (x,u) : Ax + Bu ∈ Ω ⊖ W, u ∈ U }`.
 //!
 //! Fourier–Motzkin elimination is exact but can square the constraint count
-//! at each step, so redundancy is pruned with LPs after every elimination.
-//! Under the forced revised LP backend (`OIC_LP_BACKEND=revised`) the
-//! per-elimination pruning LPs all ride one compiled warm-start template —
-//! shape-stable rows, RHS-only updates — instead of one cold solve per
-//! candidate row (see `Polytope::remove_redundant`); the default backend
-//! keeps the bit-stable cold path the committed baselines were recorded
-//! with.
+//! at each step, so redundancy is pruned with LPs after every elimination
+//! (see `Polytope::remove_redundant`).
 
 use crate::{Halfspace, Polytope};
 

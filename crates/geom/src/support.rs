@@ -22,22 +22,6 @@ pub trait SupportFunction {
     /// * [`GeomError::Unbounded`] — the set is unbounded in direction `d`.
     /// * [`GeomError::EmptySet`] — the set is empty.
     fn support(&self, direction: &[f64]) -> Result<f64, GeomError>;
-
-    /// Evaluates the support function in many directions at once.
-    ///
-    /// The default just loops [`support`](Self::support); implementations
-    /// backed by an LP override this to reuse one warm-started program
-    /// across the whole batch (the facet loop of
-    /// [`crate::Polytope::minkowski_diff`] is the main caller — one
-    /// Minkowski difference queries every facet normal of the same set).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`support`](Self::support); the first failing
-    /// direction aborts the batch.
-    fn support_batch(&self, directions: &[&[f64]]) -> Result<Vec<f64>, GeomError> {
-        directions.iter().map(|d| self.support(d)).collect()
-    }
 }
 
 /// The linear image `{ M·s : s ∈ S }` of a convex set, as a lazy view.
@@ -88,20 +72,6 @@ impl<S: SupportFunction> SupportFunction for AffineImage<'_, S> {
         // h_{M S}(d) = h_S(Mᵀ d); Mᵀ d computed as dᵀ M.
         let pulled = self.matrix.vec_mul(direction);
         self.set.support(&pulled)
-    }
-
-    /// Pulls every direction through `Mᵀ` and delegates to the underlying
-    /// set's batch, so a warm-started implementation underneath is reused.
-    fn support_batch(&self, directions: &[&[f64]]) -> Result<Vec<f64>, GeomError> {
-        let pulled: Vec<Vec<f64>> = directions
-            .iter()
-            .map(|d| {
-                assert_eq!(d.len(), self.dim(), "direction dimension mismatch");
-                self.matrix.vec_mul(d)
-            })
-            .collect();
-        let views: Vec<&[f64]> = pulled.iter().map(Vec::as_slice).collect();
-        self.set.support_batch(&views)
     }
 }
 

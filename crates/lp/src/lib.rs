@@ -12,10 +12,9 @@
 //!   recorded against); a **revised** simplex (LU-factorized basis +
 //!   product-form eta file, primal and dual iterations) serves
 //!   warm-started resolve sequences via [`LinearProgram::solve_warm`] —
-//!   see [`Backend`] for the selection rules and the `OIC_LP_BACKEND`
-//!   process override. Variables are **free by default** (the geometry
-//!   code works with unconstrained coordinates); bounds and
-//!   equality/inequality constraints are added explicitly.
+//!   see [`Backend`] for the selection rules. Variables are **free by
+//!   default** (the geometry code works with unconstrained coordinates);
+//!   bounds and equality/inequality constraints are added explicitly.
 //! * [`MixedIntegerProgram`] — best-first branch-and-bound over binary
 //!   variables with LP relaxations.
 //!
@@ -43,7 +42,7 @@ mod revised;
 mod simplex;
 
 pub use mip::{MipSolution, MixedIntegerProgram};
-pub use problem::{forced_backend, Backend, LinearProgram, LpSolution, Relation, WarmStart};
+pub use problem::{Backend, LinearProgram, LpSolution, Relation, WarmStart};
 
 use std::error::Error;
 use std::fmt;

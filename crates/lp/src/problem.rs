@@ -1,7 +1,5 @@
 //! User-facing linear-program builder with pluggable solve backends.
 
-use std::sync::OnceLock;
-
 use crate::revised::{solve_revised, solve_revised_warm, WarmCarry, WarmOutcome};
 use crate::simplex::{solve_standard, StandardForm, StandardSolution};
 use crate::LpError;
@@ -24,10 +22,6 @@ pub enum Relation {
 /// | `Auto` (default) | dense tableau (bit-stable reference) | revised from the carried basis once the problem is tall enough (≥ 8 rows), tableau otherwise |
 /// | `Tableau` | dense tableau | dense tableau every time (warm state ignored) |
 /// | `Revised` | revised two-phase | revised from the carried basis |
-///
-/// The `OIC_LP_BACKEND` environment variable (`tableau` or `revised`,
-/// read once per process) overrides every program's configured backend —
-/// CI uses it to run the whole suite under each engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Per-shape selection: the dense tableau for one-shot solves (its
@@ -45,20 +39,6 @@ pub enum Backend {
 /// Minimum row count for `Backend::Auto` to route a warm solve to the
 /// revised engine; below this the tableau's cache behavior wins.
 const AUTO_WARM_MIN_ROWS: usize = 8;
-
-/// The process-wide backend override from `OIC_LP_BACKEND`, if any.
-///
-/// Parsed once (first call) and cached: `"tableau"` and `"revised"` force
-/// the respective engine for every [`LinearProgram`] in the process; any
-/// other value (or an unset variable) leaves per-program selection alone.
-pub fn forced_backend() -> Option<Backend> {
-    static FORCED: OnceLock<Option<Backend>> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("OIC_LP_BACKEND").ok().as_deref() {
-        Some("tableau") => Some(Backend::Tableau),
-        Some("revised") => Some(Backend::Revised),
-        _ => None,
-    })
-}
 
 /// Basis state carried between [`LinearProgram::solve_warm`] calls.
 ///
@@ -84,9 +64,7 @@ pub fn forced_backend() -> Option<Backend> {
 /// let cold = lp.solve_warm(&mut warm)?; // cold: records the basis
 /// let again = lp.solve_warm(&mut warm)?; // warm: zero-pivot resolve
 /// assert!((cold.objective() - again.objective()).abs() < 1e-9);
-/// if oic_lp::forced_backend() != Some(Backend::Tableau) {
-///     assert!(warm.warm_hits() >= 1);
-/// }
+/// assert!(warm.warm_hits() >= 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -367,21 +345,14 @@ impl LinearProgram {
     }
 
     /// Selects the solve backend (default [`Backend::Auto`]).
-    ///
-    /// The `OIC_LP_BACKEND` environment variable overrides this setting
-    /// process-wide; see [`forced_backend`].
     pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
         self.backend = backend;
         self
     }
 
-    /// The configured backend (before any environment override).
+    /// The configured backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    fn effective_backend(&self) -> Backend {
-        forced_backend().unwrap_or(self.backend)
     }
 
     /// Adds a general constraint `coeffs · x REL rhs`.
@@ -719,14 +690,14 @@ impl LinearProgram {
     }
 
     /// Cold solve on the flipped (two-phase) standard form under the
-    /// effective backend.
+    /// configured backend.
     fn solve_cold(
         &self,
         rhs_override: Option<&[f64]>,
     ) -> Result<(Standardized, StandardSolution), LpError> {
         oic_obs::counter!("lp.solves", "solves").incr();
         let std = self.standardize(rhs_override, true)?;
-        let sol = match self.effective_backend() {
+        let sol = match self.backend {
             Backend::Revised => solve_revised(&std.sf, &std.hints)?,
             Backend::Tableau | Backend::Auto => solve_standard(&std.sf, &std.hints)?,
         };
@@ -825,7 +796,7 @@ impl LinearProgram {
             .filter(|(l, u)| l.is_some() && u.is_some())
             .count();
         let m = self.constraints.len() + both_bounded;
-        let use_revised = match self.effective_backend() {
+        let use_revised = match self.backend {
             Backend::Tableau => false,
             Backend::Revised => true,
             Backend::Auto => m >= AUTO_WARM_MIN_ROWS,
@@ -1073,9 +1044,7 @@ mod tests {
             );
         }
         assert_eq!(warm.solves(), 5);
-        if forced_backend() != Some(Backend::Tableau) {
-            assert!(warm.warm_hits() >= 3, "warm hits: {}", warm.warm_hits());
-        }
+        assert!(warm.warm_hits() >= 3, "warm hits: {}", warm.warm_hits());
     }
 
     #[test]
@@ -1092,9 +1061,7 @@ mod tests {
         lp.set_objective(&[0.0, 1.0]);
         let second = lp.solve_warm(&mut warm).unwrap();
         assert!((second.objective() - 4.0).abs() < 1e-9);
-        if forced_backend() != Some(Backend::Tableau) {
-            assert!(warm.warm_hits() >= 1);
-        }
+        assert!(warm.warm_hits() >= 1);
     }
 
     #[test]
@@ -1105,12 +1072,8 @@ mod tests {
         let mut warm = WarmStart::new();
         let sol = lp.solve_warm(&mut warm).unwrap();
         assert!((sol.objective() - 3.0).abs() < 1e-9);
-        // The no-carry assertions only hold when no env override forces
-        // the revised engine over the configured backend.
-        if forced_backend().is_none() {
-            assert_eq!(warm.warm_hits(), 0);
-            assert!(!warm.has_basis());
-        }
+        assert_eq!(warm.warm_hits(), 0);
+        assert!(!warm.has_basis());
     }
 
     #[test]

@@ -733,6 +733,9 @@ mod tests {
 
     #[test]
     fn registry_dedups_by_name() {
+        // Registering a new name grows the snapshot, so it must not land
+        // between another test's two snapshots.
+        let _guard = test_lock();
         let a = registry().counter("metrics.dedup", "events");
         let b = registry().counter("metrics.dedup", "events");
         assert!(std::ptr::eq(a, b));

@@ -136,9 +136,8 @@ impl Controller for ScenarioController {
 /// offsets close the facet-by-facet support inequalities analytically
 /// (see [`oic_control::certify_template`]). [`oic_control::verify_rpi`]
 /// — the independent LP certificate — is deliberately left to the test
-/// suites (the `tube_certificates` integration tests and the
-/// `OIC_LP_BACKEND` CI matrix) so a batch engine run does not re-pay one
-/// LP per tube facet for every scenario build.
+/// suites (the `tube_certificates` integration tests) so a batch engine
+/// run does not re-pay one LP per tube facet for every scenario build.
 ///
 /// The disturbance is taken as the centered box hull of the plant's `W`
 /// (every registry `W` is an origin-symmetric box, so this is exact).
@@ -165,9 +164,8 @@ pub fn tube_disturbance(plant: &ConstrainedLti) -> Result<Zonotope, CoreError> {
 
 /// A certified minimal-RPI tube together with everything needed to
 /// re-check it: the closed loop `A_K` and the centered disturbance it was
-/// synthesized for. Self-contained, so test suites (and the
-/// `OIC_LP_BACKEND` CI matrix) can run the independent LP certificate
-/// without reconstructing scenario gains.
+/// synthesized for. Self-contained, so test suites can run the
+/// independent LP certificate without reconstructing scenario gains.
 #[derive(Debug, Clone)]
 pub struct TubeCertificate {
     set: Polytope,

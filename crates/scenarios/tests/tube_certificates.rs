@@ -1,8 +1,7 @@
 //! Registry-wide tube certification: every scenario's `build()` must
 //! attach a minimal-RPI tube whose analytic construction survives the
 //! independent facet-by-facet LP certificate — in 2, 3, and 4 state
-//! dimensions, and under whichever LP backend `OIC_LP_BACKEND` forces
-//! (the CI matrix runs this suite under both engines).
+//! dimensions.
 
 use oic_geom::SupportFunction;
 use oic_scenarios::ScenarioRegistry;

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use oic_engine::{
     run_batch_opts, to_hex, CacheStats, CellCache, CellReport, EngineError, JsonValue,
-    KernelChoice, SweepOptions, SweepSpec,
+    SweepOptions, SweepSpec,
 };
 use oic_scenarios::ScenarioRegistry;
 
@@ -543,7 +543,6 @@ impl SweepServer {
             on_cell: Some(&on_cell),
             dropouts: (!spec.dropouts.is_empty()).then_some(spec.dropouts.as_slice()),
             faults: None,
-            kernel: KernelChoice::default(),
         };
         let outcome = run_batch_opts(&self.registry, &spec.policies, &config, &opts);
 
