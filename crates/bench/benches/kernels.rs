@@ -137,25 +137,11 @@ fn bench_controllers(c: &mut Criterion) {
     c.bench_function("mpc/tube_solve", |b| {
         b.iter(|| black_box(case.mpc().solve(black_box(&[5.0, 2.0])).expect("feasible")))
     });
-    // The perf trajectory of the template refactor, one step at a time:
-    // rebuild-everything (the seed's solver) vs templated cold vs
-    // templated + warm-started basis carried across the resolve sequence.
-    // The states are an actual closed-loop rollout under adversarial
-    // disturbances — the pattern every MPC-heavy engine episode produces.
+    // One MPC step at a time: templated cold vs templated + warm-started
+    // basis carried across the resolve sequence. The states are an actual
+    // closed-loop rollout under adversarial disturbances — the pattern
+    // every MPC-heavy engine episode produces.
     let states = acc_closed_loop_states(case.mpc(), 20);
-    c.bench_function("mpc/step_rebuild", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for x in &states {
-                acc += case
-                    .mpc()
-                    .solve_rebuild_reference(x)
-                    .expect("feasible")
-                    .cost();
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("mpc/step_templated", |b| {
         b.iter(|| {
             let mut acc = 0.0;

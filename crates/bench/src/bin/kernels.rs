@@ -9,11 +9,10 @@
 //! wall-clock and machine-dependent: the committed file is a recorded
 //! perf *trajectory* for the ROADMAP, not a byte-compared baseline. The
 //! ratios (`speedup_*`) are the more machine-portable part: `mpc_step`'s
-//! compare the templated and the warm-started MPC step with the seed's
-//! rebuild-every-step path (about 2× for the warm step, within run-to-run
-//! noise; nothing gates on them).
+//! compares the warm-started MPC step (the runtime path) with the cold
+//! templated solve each episode starts with; nothing gates on it.
 //!
-//! Schema 5: `engine_sweep` is one instrumented registry sweep that
+//! Schema 6: `engine_sweep` is one instrumented registry sweep that
 //! counts **executed** episodes only — cache-hit cells (zero recorded
 //! wall time; their episodes never ran) and failed cells are excluded
 //! from the throughput quotient — plus per-cell rates in
@@ -131,7 +130,7 @@ fn main() {
 
     if engine_only {
         let doc = JsonValue::object()
-            .with("schema", 5.0)
+            .with("schema", 6.0)
             .with("engine_sweep", engine);
         println!("{}", doc.to_json_pretty());
         if let Err(e) = std::fs::write(&out, doc.to_json_pretty()) {
@@ -150,12 +149,7 @@ fn main() {
     // fixture with the criterion benches).
     let states = acc_closed_loop_states(mpc, 20);
 
-    // --- Tube-MPC step: rebuild vs templated vs templated + warm. ---
-    let step_rebuild = median_ns(samples, || {
-        for x in &states {
-            mpc.solve_rebuild_reference(x).expect("feasible");
-        }
-    }) / states.len() as u64;
+    // --- Tube-MPC step: templated cold vs templated + warm. ---
     let step_templated = median_ns(samples, || {
         for x in &states {
             mpc.solve(x).expect("feasible");
@@ -253,15 +247,13 @@ fn main() {
 
     let ratio = |slow: u64, fast: u64| slow as f64 / fast.max(1) as f64;
     let doc = JsonValue::object()
-        .with("schema", 5.0)
+        .with("schema", 6.0)
         .with(
             "mpc_step",
             JsonValue::object()
-                .with("rebuild_ns", step_rebuild as f64)
                 .with("templated_ns", step_templated as f64)
                 .with("templated_warm_ns", step_warm as f64)
-                .with("speedup_templated", ratio(step_rebuild, step_templated))
-                .with("speedup_warm", ratio(step_rebuild, step_warm)),
+                .with("speedup_warm", ratio(step_templated, step_warm)),
         )
         .with(
             "lp_resolve",
@@ -276,9 +268,8 @@ fn main() {
 
     println!("{}", doc.to_json_pretty());
     eprintln!(
-        "mpc step: rebuild {step_rebuild} ns, templated {step_templated} ns, warm {step_warm} ns \
-         (warm speedup {:.2}x)",
-        ratio(step_rebuild, step_warm)
+        "mpc step: templated {step_templated} ns, warm {step_warm} ns (warm speedup {:.2}x)",
+        ratio(step_templated, step_warm)
     );
     if let Err(e) = std::fs::write(&out, doc.to_json_pretty()) {
         eprintln!("failed to write {out}: {e}");

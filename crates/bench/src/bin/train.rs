@@ -11,7 +11,9 @@
 //! settings and the skip-rate comparison against the analytic roster is
 //! printed.
 
-use oic_bench::experiments::train::{evaluate_policy, train_policy, TrainSpec, GOLDEN_SCENARIOS};
+use oic_bench::experiments::train::{
+    evaluate_policy, train_policy, TrainArgs, TrainSpec, GOLDEN_SCENARIOS,
+};
 
 fn fixture_path(scenario: &str) -> String {
     format!(
@@ -22,22 +24,13 @@ fn fixture_path(scenario: &str) -> String {
 }
 
 fn main() {
-    let mut scenario: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut episodes: Option<usize> = None;
-    let mut steps: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scenario" => scenario = args.next(),
-            "--out" => out = args.next(),
-            "--episodes" => episodes = args.next().and_then(|v| v.parse().ok()),
-            "--steps" => steps = args.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()),
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
+    let TrainArgs {
+        scenario,
+        episodes,
+        steps,
+        seed,
+        out,
+    } = TrainArgs::from_env_or_exit();
 
     let roster: Vec<String> = match scenario {
         Some(s) => vec![s],

@@ -92,9 +92,9 @@ const USAGE_FLAGS: &str = "[--cases N] [--steps N] [--train N] [--seed N] [--thr
 [--chunk N] [--stream|--detail] [--policies drl:<path>[,...]] [--out FILE] [--metrics FILE] \
 [--trace FILE] [--cache-dir DIR] [--shard i/n] [--dropout LABEL[,...]] [--fault-plan FILE]";
 
-/// Why [`ExperimentScale::from_args`] produced no scale.
+/// Why a bin's argument parser produced no arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum ArgsError {
+pub(crate) enum ArgsError {
     /// `--help` was given: the caller prints the usage and succeeds.
     Help,
     /// An unknown flag, a flag without its value, or a number that does
@@ -103,13 +103,16 @@ enum ArgsError {
 }
 
 /// The value following `flag`, or the error naming the missing value.
-fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgsError> {
+pub(crate) fn flag_value(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<String, ArgsError> {
     args.next()
         .ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))
 }
 
 /// The number following `flag`, or the error naming what did not parse.
-fn flag_number<T: std::str::FromStr>(
+pub(crate) fn flag_number<T: std::str::FromStr>(
     args: &mut impl Iterator<Item = String>,
     flag: &str,
 ) -> Result<T, ArgsError> {
@@ -132,6 +135,16 @@ pub fn usage_exit(bin: &str, flags: &str, problem: Option<&str>) -> ! {
             eprintln!("{bin}: {problem}\nusage: {bin} {flags}");
             std::process::exit(2);
         }
+    }
+}
+
+/// The parsed arguments of the `bin` binary, whose flags are `flags`, or
+/// the [`usage_exit`] that `parsed`'s error calls for.
+pub(crate) fn parsed_or_exit<T>(bin: &str, flags: &str, parsed: Result<T, ArgsError>) -> T {
+    match parsed {
+        Ok(args) => args,
+        Err(ArgsError::Help) => usage_exit(bin, flags, None),
+        Err(ArgsError::Invalid(message)) => usage_exit(bin, flags, Some(&message)),
     }
 }
 
@@ -188,11 +201,7 @@ impl ExperimentScale {
     /// the usage to stdout and exits 0; invalid input prints the problem
     /// and the usage to stderr and exits 2.
     pub fn from_env_or_exit(bin: &str) -> Self {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(scale) => scale,
-            Err(ArgsError::Help) => usage_exit(bin, USAGE_FLAGS, None),
-            Err(ArgsError::Invalid(message)) => usage_exit(bin, USAGE_FLAGS, Some(&message)),
-        }
+        parsed_or_exit(bin, USAGE_FLAGS, Self::from_args(std::env::args().skip(1)))
     }
 
     /// The scale parameters every JSON report carries (so a saved report

@@ -23,6 +23,7 @@ use oic_scenarios::{
 };
 
 use super::batch::standard_policies;
+use super::common::{flag_number, flag_value, parsed_or_exit, ArgsError};
 
 /// Scenarios the golden fixtures are trained for.
 pub const GOLDEN_SCENARIOS: [&str; 2] = ["acc", "double-integrator"];
@@ -34,6 +35,67 @@ pub fn scenario_by_name(name: &str) -> Option<Box<dyn Scenario>> {
         "acc" => Some(Box::new(AccScenario::default())),
         "double-integrator" => Some(Box::new(DoubleIntegratorScenario)),
         _ => None,
+    }
+}
+
+/// The `train` bin's flags, for usage text.
+const TRAIN_FLAGS: &str = "[--scenario NAME] [--episodes N] [--steps N] [--seed N] [--out FILE]";
+
+/// The `train` bin's arguments: which golden scenario to train (all when
+/// `None`), overrides of its pinned [`TrainSpec`], and the output path.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TrainArgs {
+    /// The golden scenario to train; every one of them when `None`.
+    pub scenario: Option<String>,
+    /// Training episodes, instead of the pinned count.
+    pub episodes: Option<usize>,
+    /// Steps per training episode, instead of the pinned count.
+    pub steps: Option<usize>,
+    /// Master seed, instead of the pinned one.
+    pub seed: Option<u64>,
+    /// Output path, instead of the committed fixture's.
+    pub out: Option<String>,
+}
+
+impl TrainArgs {
+    /// Parses `--scenario NAME --episodes N --steps N --seed N --out
+    /// FILE`. An unknown flag, a missing value, an unparsable number or a
+    /// scenario outside [`GOLDEN_SCENARIOS`] is an error, never a default.
+    fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgsError> {
+        let mut parsed = Self::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let args = &mut args;
+            match flag.as_str() {
+                "--help" => return Err(ArgsError::Help),
+                "--scenario" => {
+                    let name = flag_value(args, &flag)?;
+                    if !GOLDEN_SCENARIOS.contains(&name.as_str()) {
+                        return Err(ArgsError::Invalid(format!(
+                            "--scenario expects one of {GOLDEN_SCENARIOS:?}, got {name:?}"
+                        )));
+                    }
+                    parsed.scenario = Some(name);
+                }
+                "--episodes" => parsed.episodes = Some(flag_number(args, &flag)?),
+                "--steps" => parsed.steps = Some(flag_number(args, &flag)?),
+                "--seed" => parsed.seed = Some(flag_number(args, &flag)?),
+                "--out" => parsed.out = Some(flag_value(args, &flag)?),
+                _ => return Err(ArgsError::Invalid(format!("unknown argument {flag:?}"))),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process arguments. `--help` prints the usage to stdout
+    /// and exits 0; invalid input prints the problem and the usage to
+    /// stderr and exits 2.
+    pub fn from_env_or_exit() -> Self {
+        parsed_or_exit(
+            "train",
+            TRAIN_FLAGS,
+            Self::from_args(std::env::args().skip(1)),
+        )
     }
 }
 
@@ -335,6 +397,36 @@ pub fn check_blob(scenario: &str, weights: &[u8]) -> Result<(), CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<TrainArgs, ArgsError> {
+        TrainArgs::from_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn train_args_are_strict() {
+        let args = parse(&["--scenario", "acc", "--episodes", "40", "--seed", "3"]).unwrap();
+        assert_eq!(args.scenario.as_deref(), Some("acc"));
+        assert_eq!(args.episodes, Some(40));
+        assert_eq!(args.seed, Some(3));
+        assert_eq!(args.steps, None, "unset flags keep the pinned spec");
+        assert_eq!(parse(&[]), Ok(TrainArgs::default()));
+        assert_eq!(
+            parse(&["--episodes", "abc"]),
+            Err(ArgsError::Invalid(
+                "--episodes expects a number, got \"abc\"".into()
+            ))
+        );
+        assert_eq!(
+            parse(&["--seed"]),
+            Err(ArgsError::Invalid("--seed needs a value".into()))
+        );
+        assert_eq!(
+            parse(&["--junk"]),
+            Err(ArgsError::Invalid("unknown argument \"--junk\"".into()))
+        );
+        assert!(parse(&["--scenario", "cstr"]).is_err(), "no golden spec");
+        assert_eq!(parse(&["--steps", "5", "--help"]), Err(ArgsError::Help));
+    }
 
     #[test]
     fn tiny_training_produces_a_loadable_blob() {

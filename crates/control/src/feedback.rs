@@ -31,8 +31,8 @@ pub trait Controller {
     /// Stateful runtimes (the intermittent-control loop in `oic-core`)
     /// pass the same [`ControlCache`] at every step of an episode, which
     /// lets optimization-backed controllers carry warm-start state —
-    /// [`crate::TubeMpc`] keeps its LP basis in it when the warm path is
-    /// enabled. Analytic controllers ignore the cache (the default).
+    /// [`crate::TubeMpc`] keeps its LP basis in it. Analytic controllers
+    /// ignore the cache (the default).
     ///
     /// # Errors
     ///

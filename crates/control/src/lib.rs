@@ -44,9 +44,7 @@ pub use invariant::{
     InvariantOptions, RakovicRpi,
 };
 pub use lti::{ConstrainedLti, Lti};
-pub use mpc::{
-    warm_mpc_enabled, MpcSolution, MpcWarmState, TighteningMode, TubeMpc, TubeMpcBuilder,
-};
+pub use mpc::{MpcSolution, MpcWarmState, TighteningMode, TubeMpc, TubeMpcBuilder};
 
 use std::error::Error;
 use std::fmt;

@@ -14,34 +14,22 @@
 
 use oic_geom::{AffineImage, Halfspace, Polytope};
 use oic_linalg::Matrix;
-use oic_lp::{LinearProgram, WarmStart};
+use oic_lp::{LinearProgram, LpSolution, WarmStart};
 
 use crate::{max_rpi, ConstrainedLti, ControlCache, ControlError, Controller, InvariantOptions};
 
-/// Whether the intermittent-control runtime routes tube-MPC steps through
-/// the warm-started solver ([`TubeMpc::solve_warm`]) instead of the
-/// bit-stable cold reference path.
-///
-/// Enabled (read once per process) by `OIC_MPC_WARM=1`/`true`. Off by
-/// default so closed-loop trajectories — and the committed
-/// `BENCH_batch.json` baseline — stay byte-identical to the pre-template
-/// solver; explicit [`TubeMpc::solve_warm`] callers are unaffected by this
-/// switch.
-pub fn warm_mpc_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        matches!(
-            std::env::var("OIC_MPC_WARM").ok().as_deref(),
-            Some("1" | "true")
-        )
-    })
-}
-
-/// Warm-start state carried across a sequence of [`TubeMpc::solve_warm`]
-/// calls (one per episode; the LP basis from step `t` seeds step `t + 1`).
+/// Warm-start state carried across a sequence of [`TubeMpc::control_warm`]
+/// or [`TubeMpc::solve_warm`] calls (one per episode; the LP basis from
+/// step `t` seeds step `t + 1`), plus the step's reusable buffers.
 #[derive(Debug, Clone, Default)]
 pub struct MpcWarmState {
     warm: WarmStart,
+    /// `A⁰x, …, Aᴺx`, one state after another.
+    x_free: Vec<f64>,
+    /// The LP right-hand side at the current state.
+    rhs: Vec<f64>,
+    /// The first input `u(0|t)` of the last [`TubeMpc::control_warm`].
+    input: Vec<f64>,
 }
 
 impl MpcWarmState {
@@ -80,10 +68,10 @@ impl MpcWarmState {
 /// How one constraint's RHS depends on the current state `x`: the row
 /// coefficients never change, only these offsets are recomputed per solve.
 ///
-/// The arithmetic mirrors the row-building code of
-/// [`TubeMpc::solve_rebuild_reference`] *exactly* (`offset − a·(Aᵏx)` vs
-/// the reference's `h.offset() − free`, and a literal `−free` for the
-/// absolute-value links), so the templated path is bit-identical to it.
+/// The arithmetic mirrors the row-building code of the test-only rebuild
+/// reference *exactly* (`offset − a·(Aᵏx)` vs the reference's
+/// `h.offset() − free`, and a literal `−free` for the absolute-value
+/// links), so the templated cold path is bit-identical to it.
 #[derive(Debug, Clone)]
 enum RhsSpec {
     /// RHS is a constant (input constraints, `|u|` links).
@@ -99,9 +87,11 @@ enum RhsSpec {
 }
 
 /// The tube-MPC optimization compiled once at construction: variable
-/// layout, every constraint row, and the cost vector live in `lp`; per
-/// step only the RHS vector is recomputed from `rhs_spec` and the LP is
-/// re-solved (warm-started when the caller carries an [`MpcWarmState`]).
+/// layout, every constraint row, and the cost vector live in `lp` (whose
+/// warm-start form is compiled at build, so all clones of a controller
+/// share it); per step only the RHS vector is recomputed from `rhs_spec`
+/// and the LP is re-solved (warm-started when the caller carries an
+/// [`MpcWarmState`]).
 #[derive(Debug, Clone)]
 struct MpcTemplate {
     lp: LinearProgram,
@@ -367,25 +357,23 @@ impl TubeMpcBuilder {
             &terminal,
             &impulse,
         );
+        template.lp.compile_warm_form()?;
 
         Ok(TubeMpc {
             plant: self.plant,
             horizon,
-            state_weights: self.state_weights.clone(),
-            input_weight: self.input_weight,
             tightened,
             terminal,
             terminal_gain,
             a_pow,
-            impulse,
             template,
         })
     }
 }
 
 /// Compiles the tube-MPC LP once: same variable layout, constraint order,
-/// and coefficient arithmetic as [`TubeMpc::solve_rebuild_reference`], with
-/// the `x`-dependent RHS parts recorded as [`RhsSpec`]s instead of values.
+/// and coefficient arithmetic as the test-only rebuild reference, with the
+/// `x`-dependent RHS parts recorded as [`RhsSpec`]s instead of values.
 fn build_template(
     plant: &ConstrainedLti,
     horizon: usize,
@@ -516,8 +504,6 @@ fn build_template(
 pub struct TubeMpc {
     plant: ConstrainedLti,
     horizon: usize,
-    state_weights: Vec<f64>,
-    input_weight: f64,
     /// `X(0), …, X(N)`.
     tightened: Vec<Polytope>,
     terminal: Polytope,
@@ -526,9 +512,6 @@ pub struct TubeMpc {
     terminal_gain: Option<Matrix>,
     /// `A^0, …, A^N`.
     a_pow: Vec<Matrix>,
-    /// `impulse[j] = A^j B`; the coefficient of `u(j)` in `x(k)` is
-    /// `impulse[k−1−j]`.
-    impulse: Vec<Matrix>,
     /// The LP compiled once at construction; per step only the RHS moves.
     template: MpcTemplate,
 }
@@ -565,8 +548,7 @@ impl TubeMpc {
     /// Solves the tube-MPC LP at state `x` through the precompiled
     /// template: only the RHS vector is rebuilt (one dot product per
     /// state-dependent row), then the LP re-solves cold on the reference
-    /// backend — bit-identical to
-    /// [`solve_rebuild_reference`](Self::solve_rebuild_reference).
+    /// backend.
     ///
     /// # Errors
     ///
@@ -578,7 +560,8 @@ impl TubeMpc {
     ///
     /// Panics if `x.len()` differs from the state dimension.
     pub fn solve(&self, x: &[f64]) -> Result<MpcSolution, ControlError> {
-        self.solve_templated(x, None)
+        let sol = self.solve_lp(x, &mut Vec::new(), &mut Vec::new(), None)?;
+        Ok(self.solution(x, &sol))
     }
 
     /// [`solve`](Self::solve) with warm-start carry: the optimal LP basis
@@ -586,11 +569,11 @@ impl TubeMpc {
     /// [`MpcWarmState`]. Because only the RHS changes between the steps of
     /// an episode, the carried basis stays dual feasible and each re-solve
     /// is a few dual-simplex pivots on the revised backend instead of a
-    /// full two-phase solve.
+    /// full two-phase solve (the first solve through a fresh state runs
+    /// cold).
     ///
-    /// Calling this is the explicit opt-in to the revised engine (under
-    /// [`oic_lp::Backend::Auto`]); results agree with [`solve`](Self::solve)
-    /// to solver tolerance (~1e-7) but are not bit-identical to it.
+    /// Results agree with [`solve`](Self::solve) to solver tolerance but
+    /// are not bit-identical to it.
     ///
     /// # Errors
     ///
@@ -604,84 +587,17 @@ impl TubeMpc {
         x: &[f64],
         warm: &mut MpcWarmState,
     ) -> Result<MpcSolution, ControlError> {
-        self.solve_templated(x, Some(warm))
+        let MpcWarmState {
+            warm, x_free, rhs, ..
+        } = warm;
+        let sol = self.solve_lp(x, x_free, rhs, Some(warm))?;
+        Ok(self.solution(x, &sol))
     }
 
-    fn solve_templated(
-        &self,
-        x: &[f64],
-        warm: Option<&mut MpcWarmState>,
-    ) -> Result<MpcSolution, ControlError> {
-        let _span = oic_obs::span("mpc.step", "mpc");
-        let step_timer = oic_obs::Stopwatch::start();
-        let sys = self.plant.system();
-        let n = sys.state_dim();
-        let m = sys.input_dim();
-        let big_n = self.horizon;
-        assert_eq!(x.len(), n, "state dimension mismatch");
-
-        if !self.tightened[0].contains_with_tol(x, 1e-6) {
-            return Err(ControlError::Infeasible { state: x.to_vec() });
-        }
-
-        // x_free(k) = A^k x — the only state-dependent quantities.
-        let x_free: Vec<Vec<f64>> = (0..=big_n).map(|k| self.a_pow[k].mul_vec(x)).collect();
-        let rhs: Vec<f64> = self
-            .template
-            .rhs_spec
-            .iter()
-            .map(|spec| match spec {
-                RhsSpec::Constant(b) => *b,
-                RhsSpec::StateOffset { k, normal, offset } => {
-                    let free: f64 = normal.iter().zip(&x_free[*k]).map(|(a, v)| a * v).sum();
-                    offset - free
-                }
-                RhsSpec::StateNeg { k, normal } => {
-                    let free: f64 = normal.iter().zip(&x_free[*k]).map(|(a, v)| a * v).sum();
-                    -free
-                }
-            })
-            .collect();
-        oic_obs::counter!("mpc.rhs_updates", "updates").incr();
-
-        let solved = match warm {
-            Some(state) => self.template.lp.solve_warm_with_rhs(&rhs, &mut state.warm),
-            None => self.template.lp.solve_with_rhs(&rhs),
-        };
-        let sol = match solved {
-            Ok(s) => s,
-            Err(oic_lp::LpError::Infeasible) => {
-                return Err(ControlError::Infeasible { state: x.to_vec() })
-            }
-            Err(e) => return Err(ControlError::Lp(e)),
-        };
-
-        let u_ix = |k: usize, l: usize| k * m + l;
-        let u_sequence: Vec<Vec<f64>> = (0..big_n)
-            .map(|k| (0..m).map(|l| sol.x()[u_ix(k, l)]).collect())
-            .collect();
-        let mut predicted_states = Vec::with_capacity(big_n + 1);
-        let mut xs = x.to_vec();
-        predicted_states.push(xs.clone());
-        for u in &u_sequence {
-            xs = sys.step_nominal(&xs, u);
-            predicted_states.push(xs.clone());
-        }
-        step_timer.stop_into(oic_obs::histogram!("mpc.step_ns", "ns"));
-        Ok(MpcSolution {
-            u_sequence,
-            predicted_states,
-            cost: sol.objective(),
-        })
-    }
-
-    /// The pre-template reference solver: rebuilds the entire LP — costs,
-    /// rows, per-row buffers — from scratch at every call, exactly as the
-    /// controller did before the template refactor.
-    ///
-    /// Kept (a) as the equivalence oracle the templated path is tested
-    /// bit-identical against, and (b) as the baseline the
-    /// `mpc/step_templated` benchmarks quantify the speedup over.
+    /// The runtime control step `κ(x) = u(0|t)`: the warm solve of
+    /// [`solve_warm`](Self::solve_warm), computing only the first input,
+    /// into buffers held by `warm` (a steady-state step allocates nothing
+    /// here).
     ///
     /// # Errors
     ///
@@ -690,127 +606,104 @@ impl TubeMpc {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the state dimension.
-    pub fn solve_rebuild_reference(&self, x: &[f64]) -> Result<MpcSolution, ControlError> {
-        let sys = self.plant.system();
-        let n = sys.state_dim();
-        let m = sys.input_dim();
-        let big_n = self.horizon;
+    pub fn control_warm<'w>(
+        &self,
+        x: &[f64],
+        warm: &'w mut MpcWarmState,
+    ) -> Result<&'w [f64], ControlError> {
+        let MpcWarmState {
+            warm,
+            x_free,
+            rhs,
+            input,
+        } = warm;
+        let sol = self.solve_lp(x, x_free, rhs, Some(warm))?;
+        // u(0) is the first block of the variable layout.
+        input.clear();
+        input.extend_from_slice(&sol.x()[..self.plant.system().input_dim()]);
+        Ok(input)
+    }
+
+    /// Solves the templated LP at `x`: rebuilds its RHS into `rhs` (with
+    /// `x_free` holding `Aᵏx`), then re-solves, warm when `warm` is given.
+    fn solve_lp(
+        &self,
+        x: &[f64],
+        x_free: &mut Vec<f64>,
+        rhs: &mut Vec<f64>,
+        warm: Option<&mut WarmStart>,
+    ) -> Result<LpSolution, ControlError> {
+        let _span = oic_obs::span("mpc.step", "mpc");
+        let step_timer = oic_obs::Stopwatch::start();
+        let n = self.plant.system().state_dim();
         assert_eq!(x.len(), n, "state dimension mismatch");
 
         if !self.tightened[0].contains_with_tol(x, 1e-6) {
             return Err(ControlError::Infeasible { state: x.to_vec() });
         }
 
-        // Variable layout: [u(0..N) | tx(1..N) | tu(0..N)] where tx are
-        // per-component |x| bounds for k = 1..N−1 and tu per-component |u|.
-        let n_u = big_n * m;
-        let n_tx = big_n.saturating_sub(1) * n;
-        let n_tu = big_n * m;
-        let total = n_u + n_tx + n_tu;
-        let u_ix = |k: usize, l: usize| k * m + l;
-        let tx_ix = |k: usize, i: usize| n_u + (k - 1) * n + i; // k = 1..N−1
-        let tu_ix = |k: usize, l: usize| n_u + n_tx + k * m + l;
-
-        let mut costs = vec![0.0; total];
-        for k in 1..big_n {
+        // x_free(k) = A^k x — the only state-dependent quantities (same
+        // arithmetic as `Matrix::mul_vec`).
+        x_free.clear();
+        for a_k in &self.a_pow {
             for i in 0..n {
-                costs[tx_ix(k, i)] = self.state_weights[i];
-            }
-        }
-        for k in 0..big_n {
-            for l in 0..m {
-                costs[tu_ix(k, l)] = self.input_weight;
-            }
-        }
-        let mut lp = LinearProgram::minimize(&costs);
-
-        // x_free(k) = A^k x; coefficient of u(j) in x(k) is A^{k−1−j} B.
-        let x_free: Vec<Vec<f64>> = (0..=big_n).map(|k| self.a_pow[k].mul_vec(x)).collect();
-
-        // Row builder for a·x(k) ≤ rhs expressed over the u variables.
-        let state_row = |k: usize, normal: &[f64]| -> (Vec<f64>, f64) {
-            let mut row = vec![0.0; total];
-            for j in 0..k {
-                let coef = self.impulse[k - 1 - j].vec_mul(normal); // aᵀ A^{k−1−j} B
-                for l in 0..m {
-                    row[u_ix(j, l)] = coef[l];
+                let mut acc = 0.0;
+                for (a, v) in a_k.row(i).iter().zip(x) {
+                    acc += a * v;
                 }
+                x_free.push(acc);
             }
-            let free: f64 = normal.iter().zip(&x_free[k]).map(|(a, v)| a * v).sum();
-            (row, free)
+        }
+        let free = |k: usize, normal: &[f64]| -> f64 {
+            normal
+                .iter()
+                .zip(&x_free[k * n..(k + 1) * n])
+                .map(|(a, v)| a * v)
+                .sum()
         };
+        rhs.clear();
+        rhs.extend(self.template.rhs_spec.iter().map(|spec| match spec {
+            RhsSpec::Constant(b) => *b,
+            RhsSpec::StateOffset { k, normal, offset } => offset - free(*k, normal),
+            RhsSpec::StateNeg { k, normal } => -free(*k, normal),
+        }));
+        oic_obs::counter!("mpc.rhs_updates", "updates").incr();
 
-        // State constraints x(k) ∈ X(k) for k = 1..N and x(N) ∈ X_t.
-        for k in 1..=big_n {
-            for h in self.tightened[k].halfspaces() {
-                let (row, free) = state_row(k, h.normal());
-                lp.add_le(&row, h.offset() - free);
-            }
-        }
-        for h in self.terminal.halfspaces() {
-            let (row, free) = state_row(big_n, h.normal());
-            lp.add_le(&row, h.offset() - free);
-        }
-
-        // Input constraints u(k) ∈ U.
-        for k in 0..big_n {
-            for h in self.plant.input_set().halfspaces() {
-                let mut row = vec![0.0; total];
-                for l in 0..m {
-                    row[u_ix(k, l)] = h.normal()[l];
-                }
-                lp.add_le(&row, h.offset());
-            }
-        }
-
-        // Absolute-value linking: ±x_i(k) ≤ tx(k,i), ±u_l(k) ≤ tu(k,l).
-        for k in 1..big_n {
-            for i in 0..n {
-                let mut e = vec![0.0; n];
-                e[i] = 1.0;
-                let (mut row, free) = state_row(k, &e);
-                row[tx_ix(k, i)] = -1.0;
-                lp.add_le(&row, -free);
-                let (mut row_neg, free_neg) =
-                    state_row(k, &e.iter().map(|v| -v).collect::<Vec<_>>());
-                row_neg[tx_ix(k, i)] = -1.0;
-                lp.add_le(&row_neg, -free_neg);
-            }
-        }
-        for k in 0..big_n {
-            for l in 0..m {
-                let mut row = vec![0.0; total];
-                row[u_ix(k, l)] = 1.0;
-                row[tu_ix(k, l)] = -1.0;
-                lp.add_le(&row, 0.0);
-                row[u_ix(k, l)] = -1.0;
-                lp.add_le(&row, 0.0);
-            }
-        }
-
-        let sol = match lp.solve() {
+        let solved = match warm {
+            Some(warm) => self.template.lp.solve_warm_with_rhs(rhs, warm),
+            None => self.template.lp.solve_with_rhs(rhs),
+        };
+        let sol = match solved {
             Ok(s) => s,
             Err(oic_lp::LpError::Infeasible) => {
                 return Err(ControlError::Infeasible { state: x.to_vec() })
             }
             Err(e) => return Err(ControlError::Lp(e)),
         };
+        step_timer.stop_into(oic_obs::histogram!("mpc.step_ns", "ns"));
+        Ok(sol)
+    }
 
-        let u_sequence: Vec<Vec<f64>> = (0..big_n)
-            .map(|k| (0..m).map(|l| sol.x()[u_ix(k, l)]).collect())
+    /// The full [`MpcSolution`] of an LP solution at `x`.
+    fn solution(&self, x: &[f64], sol: &LpSolution) -> MpcSolution {
+        let sys = self.plant.system();
+        let m = sys.input_dim();
+        let u_sequence: Vec<Vec<f64>> = sol.x()[..self.horizon * m]
+            .chunks(m)
+            .map(<[f64]>::to_vec)
             .collect();
-        let mut predicted_states = Vec::with_capacity(big_n + 1);
+        let mut predicted_states = Vec::with_capacity(self.horizon + 1);
         let mut xs = x.to_vec();
         predicted_states.push(xs.clone());
         for u in &u_sequence {
             xs = sys.step_nominal(&xs, u);
             predicted_states.push(xs.clone());
         }
-        Ok(MpcSolution {
+        MpcSolution {
             u_sequence,
             predicted_states,
             cost: sol.objective(),
-        })
+        }
     }
 
     /// Computes the feasible set `X_F` of the MPC optimization — by
@@ -868,20 +761,15 @@ impl Controller for TubeMpc {
         Ok(self.solve(x)?.first_input().to_vec())
     }
 
-    /// Routes through [`TubeMpc::solve_warm`] with the basis carried in
-    /// `cache` when [`warm_mpc_enabled`] is on; otherwise identical to
-    /// [`control`](Controller::control) (the bit-stable reference path).
+    /// Routes through [`TubeMpc::control_warm`] with the episode's LP
+    /// basis carried in `cache`.
     fn control_with_cache(
         &self,
         x: &[f64],
         cache: &mut ControlCache,
     ) -> Result<Vec<f64>, ControlError> {
-        if warm_mpc_enabled() {
-            let warm = cache.mpc_warm.get_or_insert_with(MpcWarmState::new);
-            Ok(self.solve_warm(x, warm)?.first_input().to_vec())
-        } else {
-            self.control(x)
-        }
+        let warm = cache.mpc_warm.get_or_insert_with(MpcWarmState::new);
+        self.control_warm(x, warm).map(<[f64]>::to_vec)
     }
 }
 
@@ -907,6 +795,140 @@ mod tests {
             .weights(1.0, 0.5)
             .build()
             .unwrap()
+    }
+
+    /// The pre-template reference solver: rebuilds the entire LP — costs,
+    /// rows, per-row buffers — from scratch at every call, exactly as the
+    /// controller did before the template refactor, for the weights the
+    /// controller was built with. It is the oracle the templated cold
+    /// [`TubeMpc::solve`] is tested bit-identical against.
+    fn solve_rebuild_reference(
+        mpc: &TubeMpc,
+        state_weights: &[f64],
+        input_weight: f64,
+        x: &[f64],
+    ) -> Result<MpcSolution, ControlError> {
+        let sys = mpc.plant.system();
+        let n = sys.state_dim();
+        let m = sys.input_dim();
+        let big_n = mpc.horizon;
+        assert_eq!(x.len(), n, "state dimension mismatch");
+
+        if !mpc.tightened[0].contains_with_tol(x, 1e-6) {
+            return Err(ControlError::Infeasible { state: x.to_vec() });
+        }
+
+        // Variable layout: [u(0..N) | tx(1..N) | tu(0..N)] where tx are
+        // per-component |x| bounds for k = 1..N−1 and tu per-component |u|.
+        let n_u = big_n * m;
+        let n_tx = big_n.saturating_sub(1) * n;
+        let n_tu = big_n * m;
+        let total = n_u + n_tx + n_tu;
+        let u_ix = |k: usize, l: usize| k * m + l;
+        let tx_ix = |k: usize, i: usize| n_u + (k - 1) * n + i; // k = 1..N−1
+        let tu_ix = |k: usize, l: usize| n_u + n_tx + k * m + l;
+
+        let mut costs = vec![0.0; total];
+        for k in 1..big_n {
+            for i in 0..n {
+                costs[tx_ix(k, i)] = state_weights[i];
+            }
+        }
+        for k in 0..big_n {
+            for l in 0..m {
+                costs[tu_ix(k, l)] = input_weight;
+            }
+        }
+        let mut lp = LinearProgram::minimize(&costs);
+
+        // x_free(k) = A^k x; coefficient of u(j) in x(k) is A^{k−1−j} B.
+        let x_free: Vec<Vec<f64>> = (0..=big_n).map(|k| mpc.a_pow[k].mul_vec(x)).collect();
+        let impulse: Vec<Matrix> = (0..big_n).map(|j| &mpc.a_pow[j] * sys.b()).collect();
+
+        // Row builder for a·x(k) ≤ rhs expressed over the u variables.
+        let state_row = |k: usize, normal: &[f64]| -> (Vec<f64>, f64) {
+            let mut row = vec![0.0; total];
+            for j in 0..k {
+                let coef = impulse[k - 1 - j].vec_mul(normal); // aᵀ A^{k−1−j} B
+                for l in 0..m {
+                    row[u_ix(j, l)] = coef[l];
+                }
+            }
+            let free: f64 = normal.iter().zip(&x_free[k]).map(|(a, v)| a * v).sum();
+            (row, free)
+        };
+
+        // State constraints x(k) ∈ X(k) for k = 1..N and x(N) ∈ X_t.
+        for k in 1..=big_n {
+            for h in mpc.tightened[k].halfspaces() {
+                let (row, free) = state_row(k, h.normal());
+                lp.add_le(&row, h.offset() - free);
+            }
+        }
+        for h in mpc.terminal.halfspaces() {
+            let (row, free) = state_row(big_n, h.normal());
+            lp.add_le(&row, h.offset() - free);
+        }
+
+        // Input constraints u(k) ∈ U.
+        for k in 0..big_n {
+            for h in mpc.plant.input_set().halfspaces() {
+                let mut row = vec![0.0; total];
+                for l in 0..m {
+                    row[u_ix(k, l)] = h.normal()[l];
+                }
+                lp.add_le(&row, h.offset());
+            }
+        }
+
+        // Absolute-value linking: ±x_i(k) ≤ tx(k,i), ±u_l(k) ≤ tu(k,l).
+        for k in 1..big_n {
+            for i in 0..n {
+                let mut e = vec![0.0; n];
+                e[i] = 1.0;
+                let (mut row, free) = state_row(k, &e);
+                row[tx_ix(k, i)] = -1.0;
+                lp.add_le(&row, -free);
+                let (mut row_neg, free_neg) =
+                    state_row(k, &e.iter().map(|v| -v).collect::<Vec<_>>());
+                row_neg[tx_ix(k, i)] = -1.0;
+                lp.add_le(&row_neg, -free_neg);
+            }
+        }
+        for k in 0..big_n {
+            for l in 0..m {
+                let mut row = vec![0.0; total];
+                row[u_ix(k, l)] = 1.0;
+                row[tu_ix(k, l)] = -1.0;
+                lp.add_le(&row, 0.0);
+                row[u_ix(k, l)] = -1.0;
+                lp.add_le(&row, 0.0);
+            }
+        }
+
+        let sol = match lp.solve() {
+            Ok(s) => s,
+            Err(oic_lp::LpError::Infeasible) => {
+                return Err(ControlError::Infeasible { state: x.to_vec() })
+            }
+            Err(e) => return Err(ControlError::Lp(e)),
+        };
+
+        let u_sequence: Vec<Vec<f64>> = (0..big_n)
+            .map(|k| (0..m).map(|l| sol.x()[u_ix(k, l)]).collect())
+            .collect();
+        let mut predicted_states = Vec::with_capacity(big_n + 1);
+        let mut xs = x.to_vec();
+        predicted_states.push(xs.clone());
+        for u in &u_sequence {
+            xs = sys.step_nominal(&xs, u);
+            predicted_states.push(xs.clone());
+        }
+        Ok(MpcSolution {
+            u_sequence,
+            predicted_states,
+            cost: sol.objective(),
+        })
     }
 
     #[test]
@@ -1075,7 +1097,7 @@ mod tests {
             [19.375, 0.125],
         ] {
             let templated = mpc.solve(&x).unwrap();
-            let reference = mpc.solve_rebuild_reference(&x).unwrap();
+            let reference = solve_rebuild_reference(&mpc, &[1.0, 1.0], 0.5, &x).unwrap();
             assert_eq!(
                 templated, reference,
                 "bitwise divergence at {x:?} (PartialEq on f64 is exact)"
@@ -1087,7 +1109,7 @@ mod tests {
             Err(ControlError::Infeasible { .. })
         ));
         assert!(matches!(
-            mpc.solve_rebuild_reference(&[25.0, -10.0]),
+            solve_rebuild_reference(&mpc, &[1.0, 1.0], 0.5, &[25.0, -10.0]),
             Err(ControlError::Infeasible { .. })
         ));
     }
@@ -1140,17 +1162,34 @@ mod tests {
 
     #[test]
     fn control_with_cache_matches_control_by_default() {
-        // Without OIC_MPC_WARM the cached entry point must stay on the
-        // bit-stable path.
+        // The cached entry point is the warm path: it agrees with the cold
+        // `control` to solver tolerance and carries the basis onward.
         let mpc = acc_mpc();
         let mut cache = ControlCache::new();
         let cached = mpc.control_with_cache(&[5.0, 2.0], &mut cache).unwrap();
         let plain = mpc.control(&[5.0, 2.0]).unwrap();
-        if warm_mpc_enabled() {
-            assert!((cached[0] - plain[0]).abs() < 1e-5);
-        } else {
-            assert_eq!(cached, plain, "default path must be bit-identical");
-            assert!(cache.mpc_warm().is_none(), "no warm state without opt-in");
+        assert_eq!(cached.len(), plain.len());
+        for (c, p) in cached.iter().zip(&plain) {
+            assert!((c - p).abs() < 1e-9, "cached {c} vs control {p}");
+        }
+        // A second step reuses the basis the first one left in the cache.
+        mpc.control_with_cache(&[5.0, 2.0], &mut cache).unwrap();
+        assert_eq!(
+            cache.mpc_warm().map(MpcWarmState::warm_hits),
+            Some(1),
+            "the cached path carries a basis"
+        );
+    }
+
+    #[test]
+    fn control_warm_matches_solve_warm_first_input() {
+        let mpc = acc_mpc();
+        let mut runtime = MpcWarmState::new();
+        let mut full = MpcWarmState::new();
+        for x in [[5.0, 2.0], [4.0, 1.5], [20.0, 8.0], [-15.0, -3.5]] {
+            let u = mpc.control_warm(&x, &mut runtime).unwrap().to_vec();
+            let sol = mpc.solve_warm(&x, &mut full).unwrap();
+            assert_eq!(u, sol.first_input(), "at {x:?}");
         }
     }
 

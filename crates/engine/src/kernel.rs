@@ -35,7 +35,7 @@
 
 use std::cell::Cell;
 
-use oic_control::{ControlCache, Controller};
+use oic_control::MpcWarmState;
 use oic_core::{
     CoreError, DisturbanceProcess, GreedyDrlPolicy, PolicyContext, RunStats, SkipDecision,
     SkipPolicy,
@@ -261,7 +261,7 @@ fn run_chunk_impl<const N: usize>(
     let mut processes: Vec<Box<dyn DisturbanceProcess>> = Vec::with_capacity(count);
     let mut policies: Vec<EpPolicy> = Vec::with_capacity(count);
     let mut dropouts: Vec<Option<DropoutStream>> = Vec::with_capacity(count);
-    let mut caches: Vec<ControlCache> = Vec::with_capacity(count);
+    let mut mpc_warm: Vec<MpcWarmState> = Vec::with_capacity(count);
     let mut nan_steps: Vec<Option<usize>> = Vec::with_capacity(count);
     // The lowest failing episode so far; episodes above it are
     // abandoned (their chunk is already failed), episodes below keep
@@ -293,7 +293,7 @@ fn run_chunk_impl<const N: usize>(
             PreparedPolicy::Spec(_) => EpPolicy::Boxed(job.prepared.for_episode(seed)),
         });
         dropouts.push((!job.dropout.is_none()).then(|| job.dropout.stream(seed)));
-        caches.push(ControlCache::new());
+        mpc_warm.push(MpcWarmState::new());
         nan_steps.push(match job.fault {
             CellFault::Nan { episode: e, step } if e == episode => Some(step),
             _ => None,
@@ -467,8 +467,8 @@ fn run_chunk_impl<const N: usize>(
                             ScenarioController::Tube(mpc) => mpc,
                             ScenarioController::Linear(_) => unreachable!("gain is Some"),
                         };
-                        match mpc.control_with_cache(xs, &mut caches[s]) {
-                            Ok(input) => u[us.clone()].copy_from_slice(&input),
+                        match mpc.control_warm(xs, &mut mpc_warm[s]) {
+                            Ok(input) => u[us.clone()].copy_from_slice(input),
                             Err(e) => {
                                 let reason = CoreError::from(e).to_string();
                                 note_failure(&mut failure, &mut status, s, reason);

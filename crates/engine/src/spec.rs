@@ -38,7 +38,11 @@ use crate::runner::{BatchConfig, PolicySpec};
 ///
 /// Epoch 2: the dropout axis entered the preimage and the on-disk cell
 /// codec grew a payload checksum plus the dropout tallies (`OICCELL2`).
-pub const CACHE_EPOCH: u32 = 2;
+///
+/// Epoch 3: every tube-MPC step after an episode's first solves warm
+/// (dual simplex from the previous step's basis), which moves some floats
+/// of tube-MPC cells in their last ulps.
+pub const CACHE_EPOCH: u32 = 3;
 
 /// One shard assignment: this process owns the materialized cells whose
 /// global index `g` satisfies `g % of == index`.

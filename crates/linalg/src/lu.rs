@@ -81,32 +81,6 @@ impl LuDecomposition {
         Ok(lu)
     }
 
-    /// Re-factorizes `a` **in place**, reusing this decomposition's storage.
-    ///
-    /// This is the refactorization hook for iterative callers (the revised
-    /// simplex re-factorizes its basis every few dozen pivots): no fresh
-    /// allocation happens when `a` has the same dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the matrix is singular; the
-    /// decomposition is left in an unspecified (but safely re-usable via
-    /// another `refactor`) state in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square or differs in dimension.
-    pub fn refactor(&mut self, a: &Matrix) -> Result<(), SingularMatrixError> {
-        assert!(a.is_square(), "LU factorization requires a square matrix");
-        assert_eq!(a.rows(), self.lu.rows(), "refactor dimension mismatch");
-        self.lu.clone_from(a);
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.perm_sign = 1.0;
-        self.factorize_in_place()
-    }
-
     fn factorize_in_place(&mut self) -> Result<(), SingularMatrixError> {
         let n = self.lu.rows();
         let lu = &mut self.lu;
@@ -357,22 +331,6 @@ mod tests {
             let acc: f64 = (0..3).map(|i| a[(i, j)] * x[i]).sum();
             assert!((acc - c[j]).abs() < 1e-10, "col {j}: {acc} vs {}", c[j]);
         }
-    }
-
-    #[test]
-    fn refactor_reuses_storage_and_solves() {
-        let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-        let mut lu = LuDecomposition::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        lu.refactor(&b).unwrap();
-        let x = lu.solve(&[5.0, 11.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
-        // Refactoring onto a singular matrix fails but stays reusable.
-        let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(lu.refactor(&s).is_err());
-        lu.refactor(&a).unwrap();
-        let x = lu.solve(&[10.0, 12.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! User-facing linear-program builder with pluggable solve backends.
 
-use crate::revised::{solve_revised, solve_revised_warm, WarmCarry, WarmOutcome};
+use std::sync::{Arc, OnceLock};
+
+use crate::revised::{
+    solve_revised, solve_revised_warm, unit_columns, UnitColumn, WarmCarry, WarmOutcome,
+};
 use crate::simplex::{solve_standard, StandardForm, StandardSolution};
 use crate::LpError;
 
@@ -42,9 +46,9 @@ const AUTO_WARM_MIN_ROWS: usize = 8;
 
 /// Basis state carried between [`LinearProgram::solve_warm`] calls.
 ///
-/// A warm start is only reused when the problem shape (row and column
-/// counts of the internal standard form) matches the shape it was recorded
-/// for; anything else falls back to a cold solve transparently. The
+/// A carried basis is only reused by a program with the structure it was
+/// recorded for (the same program, or a clone with no structural mutation
+/// since); anything else falls back to a cold solve transparently. The
 /// counters expose how often the fast path actually ran.
 ///
 /// # Examples
@@ -70,11 +74,9 @@ const AUTO_WARM_MIN_ROWS: usize = 8;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    /// The shape-stable standard form, compiled once per constraint-matrix
-    /// fingerprint (rebuilding it per solve would cost as much as a cold
-    /// tableau setup).
-    compiled: Option<CompiledForm>,
-    /// The carried basis and its live factorization.
+    /// The structure revision the carried basis belongs to.
+    revision: u64,
+    /// The carried basis.
     carry: WarmCarry,
     solves: u64,
     warm_hits: u64,
@@ -89,12 +91,11 @@ impl WarmStart {
         Self::default()
     }
 
-    /// Drops the carried basis and compiled form; the next solve runs
-    /// cold. Structural mutations (constraints, bounds) are detected
-    /// automatically via the program's revision counter, so this is only
-    /// needed to force a cold re-solve explicitly.
+    /// Drops the carried basis; the next solve runs cold. Structural
+    /// mutations (constraints, bounds) are detected automatically via the
+    /// program's revision counter, so this is only needed to force a cold
+    /// re-solve explicitly.
     pub fn invalidate(&mut self) {
-        self.compiled = None;
         self.carry.clear();
     }
 
@@ -161,17 +162,14 @@ struct Standardized {
     total: usize,
 }
 
-/// The shape-stable (unflipped) standard form compiled once per
-/// constraint-matrix fingerprint and cached inside a [`WarmStart`]: across
-/// an RHS/objective-perturbed resolve sequence only the `b` and `c`
-/// vectors are reassembled per solve — the row matrix is shared.
-#[derive(Debug, Clone)]
+/// The shape-stable (unflipped) standard form, compiled once per program
+/// structure: across an RHS/objective-perturbed resolve sequence only the
+/// `b` and `c` vectors are reassembled per solve.
+#[derive(Debug)]
 struct CompiledForm {
-    /// The structure revision of the program this form was compiled from;
-    /// cost and RHS mutations deliberately do not advance it (they may
-    /// change freely between warm solves).
-    revision: u64,
     rows: Vec<Vec<f64>>,
+    /// Unit structure of the columns of `rows`.
+    units: Vec<UnitColumn>,
     var_map: Vec<VarMap>,
     total: usize,
     /// Per user constraint: row orientation (−1 for `Ge` rows).
@@ -263,8 +261,12 @@ pub struct LinearProgram {
     backend: Backend,
     /// Process-unique structure revision: advanced by every mutation that
     /// changes the constraint matrix or bound structure (not by RHS or
-    /// cost updates). Guards the compiled form cached in a [`WarmStart`].
+    /// cost updates). Guards the basis carried in a [`WarmStart`].
     structure_rev: u64,
+    /// The compiled form of the current structure, shared by reference
+    /// count with every clone made after it was compiled; structural
+    /// mutations drop it.
+    compiled: OnceLock<Arc<CompiledForm>>,
 }
 
 /// Draws a process-unique structure revision (uniqueness across program
@@ -315,6 +317,7 @@ impl LinearProgram {
             upper: vec![None; costs.len()],
             backend: Backend::Auto,
             structure_rev: next_revision(),
+            compiled: OnceLock::new(),
         }
     }
 
@@ -375,7 +378,7 @@ impl LinearProgram {
             relation,
             rhs,
         });
-        self.structure_rev = next_revision();
+        self.structure_changed();
         self
     }
 
@@ -439,7 +442,7 @@ impl LinearProgram {
         assert!(i < self.num_vars(), "variable index out of range");
         assert!(bound.is_finite(), "bound must be finite");
         self.lower[i] = Some(bound);
-        self.structure_rev = next_revision();
+        self.structure_changed();
         self
     }
 
@@ -452,8 +455,14 @@ impl LinearProgram {
         assert!(i < self.num_vars(), "variable index out of range");
         assert!(bound.is_finite(), "bound must be finite");
         self.upper[i] = Some(bound);
-        self.structure_rev = next_revision();
+        self.structure_changed();
         self
+    }
+
+    /// Advances the structure revision and drops the compiled form.
+    fn structure_changed(&mut self) {
+        self.structure_rev = next_revision();
+        self.compiled = OnceLock::new();
     }
 
     /// Sets both bounds `lo ≤ x[i] ≤ hi`.
@@ -650,8 +659,29 @@ impl LinearProgram {
         LpSolution { x, objective }
     }
 
+    /// Compiles the shape-stable standard form that warm solves run on now
+    /// instead of on the first [`solve_warm`](Self::solve_warm), so that
+    /// every clone made afterwards shares this one form (by reference
+    /// count) rather than compiling its own.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::Infeasible`] when a variable's bounds cross.
+    pub fn compile_warm_form(&self) -> Result<(), LpError> {
+        self.compiled_form().map(|_| ())
+    }
+
+    /// The compiled form of the current structure, compiled on first use.
+    fn compiled_form(&self) -> Result<&CompiledForm, LpError> {
+        if let Some(form) = self.compiled.get() {
+            return Ok(form);
+        }
+        let form = Arc::new(self.compile()?);
+        Ok(self.compiled.get_or_init(|| form))
+    }
+
     /// Compiles the shape-stable standard form (see [`CompiledForm`]).
-    fn compile(&self, revision: u64) -> Result<CompiledForm, LpError> {
+    fn compile(&self) -> Result<CompiledForm, LpError> {
         let std = self.standardize(None, false)?;
         let nc = self.constraints.len();
         let mut sign = Vec::with_capacity(nc);
@@ -678,9 +708,10 @@ impl LinearProgram {
             constant.push(k);
         }
         let range_rhs = std.sf.b[nc..].to_vec();
+        let units = unit_columns(&std.sf.a, std.total);
         Ok(CompiledForm {
-            revision,
             rows: std.sf.a,
+            units,
             var_map: std.var_map,
             total: std.total,
             sign,
@@ -803,16 +834,14 @@ impl LinearProgram {
         };
 
         if use_revised {
-            // Keep the compiled shape-stable form current (the revision
-            // counter detects structural mutation and instance changes;
-            // RHS/cost updates don't recompile).
-            let rev = self.structure_rev;
-            if warm.compiled.as_ref().is_none_or(|c| c.revision != rev) {
-                warm.compiled = Some(self.compile(rev)?);
+            let compiled = self.compiled_form()?;
+            // A basis recorded for another structure indexes other columns
+            // (RHS/cost updates keep the revision, so they stay warm).
+            if warm.revision != self.structure_rev {
+                warm.revision = self.structure_rev;
                 warm.carry.clear();
             }
             let WarmStart {
-                compiled,
                 carry,
                 warm_hits,
                 fallbacks,
@@ -820,11 +849,10 @@ impl LinearProgram {
                 last_fallback_reason,
                 ..
             } = warm;
-            let compiled = compiled.as_ref().expect("compiled above");
             if !carry.is_empty() && carry.basis.len() == compiled.rows.len() {
                 let b = compiled.rhs_vector(self, rhs_override);
                 let (c_std, obj_constant) = compiled.cost_vector(self);
-                match solve_revised_warm(&compiled.rows, &b, &c_std, carry) {
+                match solve_revised_warm(&compiled.rows, &compiled.units, &b, &c_std, carry) {
                     WarmOutcome::Solved(sol) => {
                         *warm_hits += 1;
                         *pivots += sol.iters as u64;
@@ -1074,6 +1102,32 @@ mod tests {
         assert!((sol.objective() - 3.0).abs() < 1e-9);
         assert_eq!(warm.warm_hits(), 0);
         assert!(!warm.has_basis());
+    }
+
+    #[test]
+    fn clones_share_one_compiled_form_until_a_structural_mutation() {
+        let mut lp = LinearProgram::maximize(&[1.0, 1.0]);
+        lp.set_backend(Backend::Revised);
+        lp.add_le(&[1.0, 2.0], 4.0);
+        lp.add_le(&[3.0, 1.0], 6.0);
+        lp.set_lower_bound(0, 0.0);
+        lp.set_lower_bound(1, 0.0);
+        lp.compile_warm_form().unwrap();
+        let clone = lp.clone();
+        let form = |lp: &LinearProgram| lp.compiled.get().cloned();
+        assert!(Arc::ptr_eq(&form(&lp).unwrap(), &form(&clone).unwrap()));
+        let mut warm = WarmStart::new();
+        clone.solve_warm(&mut warm).unwrap();
+        let mut mutated = lp.clone();
+        mutated.add_le(&[1.0, 0.0], 1.0);
+        assert!(mutated.compiled.get().is_none());
+        assert!(lp.compiled.get().is_some(), "the original keeps its form");
+        // The carried basis belongs to the old structure: no warm hit.
+        let sol = mutated.solve_warm(&mut warm).unwrap();
+        assert!((sol.objective() - 2.5).abs() < 1e-9);
+        assert_eq!(warm.warm_hits(), 0);
+        assert!(mutated.solve_warm(&mut warm).is_ok());
+        assert_eq!(warm.warm_hits(), 1, "warm again on the new structure");
     }
 
     #[test]

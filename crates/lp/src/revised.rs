@@ -3,11 +3,11 @@
 //! Where the dense tableau (see [`crate::simplex`]) carries the full
 //! `(m+1) × (n+1)` matrix through every pivot, this engine keeps only
 //!
-//! * an LU factorization of the **basis matrix** `B` (via
-//!   [`oic_linalg::LuDecomposition`], re-factorized every
-//!   [`REFACTOR_LIMIT`] pivots through the `refactor` hook), and
+//! * a factorization of the **basis matrix** `B₀` taken through its unit
+//!   columns (see [`UnitLu`]), rebuilt every [`REFACTOR_LIMIT`] pivots and
+//!   at the start of every solve, and
 //! * a product-form **eta file**: one column per pivot since the last
-//!   refactorization, applied on top of the LU in FTRAN/BTRAN solves.
+//!   refactorization, applied on top of `B₀` in FTRAN/BTRAN solves.
 //!
 //! Two iteration modes are provided:
 //!
@@ -41,6 +41,30 @@ const FEAS_TOL: f64 = 1e-9;
 
 /// Dual feasibility tolerance on reduced costs.
 const DUAL_TOL: f64 = 1e-7;
+
+/// `(row, value)` of a column with exactly one nonzero entry — every slack
+/// (`±1`) and any structural column that touches a single row.
+pub(crate) type UnitColumn = Option<(usize, f64)>;
+
+/// The unit structure of the `n` columns of the row-major matrix `a`.
+pub(crate) fn unit_columns(a: &[Vec<f64>], n: usize) -> Vec<UnitColumn> {
+    let mut units: Vec<UnitColumn> = vec![None; n];
+    let mut nonzeros = vec![0usize; n];
+    for (i, row) in a.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            if v != 0.0 {
+                nonzeros[j] += 1;
+                units[j] = Some((i, v));
+            }
+        }
+    }
+    for (unit, &count) in units.iter_mut().zip(&nonzeros) {
+        if count != 1 {
+            *unit = None;
+        }
+    }
+    units
+}
 
 /// Why a warm-started solve could not run; the caller must fall back to a
 /// cold solve (the warm path never guesses through numerical trouble).
@@ -88,30 +112,163 @@ struct Eta {
     col: Vec<f64>,
 }
 
+/// `B₀` factored through its unit columns.
+///
+/// A unit basic column (a slack or a phase-1 artificial) is zero off its
+/// one row, and in a nonsingular basis the unit columns cover distinct
+/// rows. With rows ordered (uncovered, covered) and columns ordered
+/// (non-unit, unit), `B₀` is block lower triangular, `[[S, 0], [C, D]]`
+/// with `D` diagonal. FTRAN is then one `k × k` LU solve on `S` plus one
+/// back-substitution per covered row, and BTRAN mirrors it, where `k` is
+/// the number of non-unit basic columns (at most 38 for the ACC tube MPC,
+/// against `m = 168` rows).
+#[derive(Debug, Clone)]
+struct UnitLu {
+    /// `(basis position, row, value)` of every unit basic column.
+    units: Vec<(usize, usize, f64)>,
+    /// Basis positions of the non-unit basic columns.
+    kernel_pos: Vec<usize>,
+    /// Column indices of the non-unit basic columns (all structural).
+    kernel_col: Vec<usize>,
+    /// The rows no unit column covers, ascending.
+    kernel_rows: Vec<usize>,
+    /// LU of `S = B₀[kernel_rows, kernel_pos]`; `None` when `k = 0`.
+    lu: Option<LuDecomposition>,
+    /// `k`-long right-hand side and solution of the `S` solves.
+    rhs: Vec<f64>,
+    sol: Vec<f64>,
+}
+
+impl UnitLu {
+    /// Factors the basis `basis` of the working matrix: structural and
+    /// slack column `j < n` is column `j` of `a` with unit structure
+    /// `units[j]`, artificial column `n + t` is the unit vector on row
+    /// `art_rows[t]`.
+    ///
+    /// Two unit columns on one row, or a singular `S`, make the basis
+    /// singular.
+    fn new(
+        a: &[Vec<f64>],
+        units: &[UnitColumn],
+        art_rows: &[usize],
+        basis: &[usize],
+    ) -> Result<Self, WarmFailure> {
+        let n = units.len();
+        let mut covered = vec![false; basis.len()];
+        let mut unit_entries = Vec::with_capacity(basis.len());
+        let mut kernel_pos = Vec::new();
+        let mut kernel_col = Vec::new();
+        for (pos, &j) in basis.iter().enumerate() {
+            let unit = if j < n {
+                units[j]
+            } else {
+                Some((art_rows[j - n], 1.0))
+            };
+            match unit {
+                Some((row, value)) => {
+                    if std::mem::replace(&mut covered[row], true) {
+                        return Err(WarmFailure::SingularBasis);
+                    }
+                    unit_entries.push((pos, row, value));
+                }
+                None => {
+                    kernel_pos.push(pos);
+                    kernel_col.push(j);
+                }
+            }
+        }
+        let kernel_rows: Vec<usize> = (0..basis.len()).filter(|&i| !covered[i]).collect();
+        let k = kernel_col.len();
+        let lu = if k == 0 {
+            None
+        } else {
+            let mut s = Matrix::zeros(k, k);
+            for (r, &i) in kernel_rows.iter().enumerate() {
+                for (t, &j) in kernel_col.iter().enumerate() {
+                    s[(r, t)] = a[i][j];
+                }
+            }
+            Some(LuDecomposition::new(&s).map_err(|_| WarmFailure::SingularBasis)?)
+        };
+        Ok(Self {
+            units: unit_entries,
+            kernel_pos,
+            kernel_col,
+            kernel_rows,
+            lu,
+            rhs: vec![0.0; k],
+            sol: vec![0.0; k],
+        })
+    }
+
+    /// Solves `B₀ x = v` into `out` (indexed by basis position).
+    fn ftran(&mut self, a: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
+        if let Some(lu) = &self.lu {
+            for (r, &i) in self.rhs.iter_mut().zip(&self.kernel_rows) {
+                *r = v[i];
+            }
+            lu.solve_into(&self.rhs, &mut self.sol);
+            for (&pos, &x) in self.kernel_pos.iter().zip(&self.sol) {
+                out[pos] = x;
+            }
+        }
+        for &(pos, row, value) in &self.units {
+            let a_row = &a[row];
+            let mut acc = v[row];
+            for (&j, &x) in self.kernel_col.iter().zip(&self.sol) {
+                acc -= a_row[j] * x;
+            }
+            out[pos] = acc / value;
+        }
+    }
+
+    /// Solves `B₀ᵀ y = c` (`c` indexed by basis position) into `out`.
+    fn btran(&mut self, a: &[Vec<f64>], c: &[f64], out: &mut [f64]) {
+        for &(pos, row, value) in &self.units {
+            out[row] = c[pos] / value;
+        }
+        if let Some(lu) = &self.lu {
+            for ((r, &pos), &j) in self
+                .rhs
+                .iter_mut()
+                .zip(&self.kernel_pos)
+                .zip(&self.kernel_col)
+            {
+                let mut acc = c[pos];
+                for &(_, row, _) in &self.units {
+                    let y = out[row];
+                    if y != 0.0 {
+                        acc -= a[row][j] * y;
+                    }
+                }
+                *r = acc;
+            }
+            lu.solve_transposed_into(&self.rhs, &mut self.sol);
+            for (&i, &y) in self.kernel_rows.iter().zip(&self.sol) {
+                out[i] = y;
+            }
+        }
+    }
+}
+
 /// The factorized basis `B = B₀ · E₁ · … · E_k`.
 #[derive(Debug, Clone)]
-pub(crate) struct BasisFactor {
-    lu: LuDecomposition,
+struct BasisFactor {
+    lu: UnitLu,
     etas: Vec<Eta>,
 }
 
-/// Basis state carried across warm solves: the basis column indices plus
-/// (when the previous solve ended cleanly) its live factorization, so the
-/// next solve skips the O(m³) LU rebuild entirely and goes straight to
-/// FTRAN/dual pivots.
-///
-/// Invariant: when `factor` is `Some`, it factorizes exactly the basis in
-/// `basis` for the problem shape the caller's fingerprint guards.
+/// Basis state carried across warm solves: the basis column indices
+/// alone. Its factor is rebuilt at the start of every solve, which costs
+/// one `k × k` LU (see [`UnitLu`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WarmCarry {
     pub(crate) basis: Vec<usize>,
-    pub(crate) factor: Option<BasisFactor>,
 }
 
 impl WarmCarry {
     pub(crate) fn clear(&mut self) {
         self.basis.clear();
-        self.factor = None;
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -121,14 +278,13 @@ impl WarmCarry {
     pub(crate) fn set_basis(&mut self, basis: &[usize]) {
         self.basis.clear();
         self.basis.extend_from_slice(basis);
-        self.factor = None;
     }
 }
 
 impl BasisFactor {
     /// FTRAN: computes `B⁻¹ v` into `out`.
-    fn ftran(&self, v: &[f64], out: &mut [f64]) {
-        self.lu.solve_into(v, out);
+    fn ftran(&mut self, a: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
+        self.lu.ftran(a, v, out);
         for eta in &self.etas {
             let t = out[eta.pos] / eta.col[eta.pos];
             for (o, c) in out.iter_mut().zip(&eta.col) {
@@ -139,7 +295,7 @@ impl BasisFactor {
     }
 
     /// BTRAN: computes `B⁻ᵀ c` into `out` (`scratch` must be `m` long).
-    fn btran(&self, c: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    fn btran(&mut self, a: &[Vec<f64>], c: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         scratch.copy_from_slice(c);
         for eta in self.etas.iter().rev() {
             let mut acc = scratch[eta.pos];
@@ -150,7 +306,7 @@ impl BasisFactor {
             }
             scratch[eta.pos] = acc / eta.col[eta.pos];
         }
-        self.lu.solve_transposed_into(scratch, out);
+        self.lu.btran(a, scratch, out);
     }
 }
 
@@ -168,24 +324,11 @@ fn column_into(a: &[Vec<f64>], n: usize, art_rows: &[usize], j: usize, out: &mut
     }
 }
 
-/// Builds the dense `m × m` basis matrix from the basis column indices.
-fn basis_matrix(a: &[Vec<f64>], n: usize, art_rows: &[usize], basis: &[usize], m: usize) -> Matrix {
-    let mut bm = Matrix::zeros(m, m);
-    for (k, &j) in basis.iter().enumerate() {
-        if j < n {
-            for (i, row) in a.iter().enumerate() {
-                bm[(i, k)] = row[j];
-            }
-        } else {
-            bm[(art_rows[j - n], k)] = 1.0;
-        }
-    }
-    bm
-}
-
 /// The revised simplex state over one standard-form problem.
 struct Revised<'a> {
     a: &'a [Vec<f64>],
+    /// Unit structure of the columns of `a`.
+    units: &'a [UnitColumn],
     b: &'a [f64],
     m: usize,
     n: usize,
@@ -211,18 +354,15 @@ struct Revised<'a> {
 
 impl<'a> Revised<'a> {
     /// Creates the state from an initial basis; fails if `B` is singular.
-    ///
-    /// `carried_factor`, when given, must factorize exactly `basis` (the
-    /// warm-carry invariant) — the O(m³) LU build is skipped then.
     fn new(
         a: &'a [Vec<f64>],
+        units: &'a [UnitColumn],
         b: &'a [f64],
-        n: usize,
         basis: Vec<usize>,
         art_rows: Vec<usize>,
-        carried_factor: Option<BasisFactor>,
     ) -> Result<Self, WarmFailure> {
         let m = b.len();
+        let n = units.len();
         debug_assert_eq!(basis.len(), m);
         let mut in_basis = vec![false; n];
         for &j in &basis {
@@ -230,18 +370,13 @@ impl<'a> Revised<'a> {
                 in_basis[j] = true;
             }
         }
-        let factor = match carried_factor {
-            Some(f) if f.lu.dim() == m => f,
-            _ => {
-                let bm = basis_matrix(a, n, &art_rows, &basis, m);
-                BasisFactor {
-                    lu: LuDecomposition::new(&bm).map_err(|_| WarmFailure::SingularBasis)?,
-                    etas: Vec::new(),
-                }
-            }
+        let factor = BasisFactor {
+            lu: UnitLu::new(a, units, &art_rows, &basis)?,
+            etas: Vec::new(),
         };
         let mut state = Self {
             a,
+            units,
             b,
             m,
             n,
@@ -258,20 +393,16 @@ impl<'a> Revised<'a> {
             row_prod: vec![0.0; n],
             iters: 0,
         };
-        state.factor.ftran(state.b, &mut state.x_b);
+        state.factor.ftran(a, b, &mut state.x_b);
         Ok(state)
     }
 
     /// Re-factorizes the basis and refreshes `x_B` from scratch.
     fn refactorize(&mut self) -> Result<(), WarmFailure> {
         oic_obs::counter!("lp.refactorizations", "count").incr();
-        let bm = basis_matrix(self.a, self.n, &self.art_rows, &self.basis, self.m);
         self.factor.etas.clear();
-        self.factor
-            .lu
-            .refactor(&bm)
-            .map_err(|_| WarmFailure::SingularBasis)?;
-        self.factor.ftran(self.b, &mut self.x_b);
+        self.factor.lu = UnitLu::new(self.a, self.units, &self.art_rows, &self.basis)?;
+        self.factor.ftran(self.a, self.b, &mut self.x_b);
         Ok(())
     }
 
@@ -310,13 +441,14 @@ impl<'a> Revised<'a> {
             self.col_buf[k] = if j < self.n { costs[j] } else { art_cost };
         }
         let Self {
+            a,
             factor,
             col_buf,
             y,
             scratch,
             ..
         } = self;
-        factor.btran(col_buf, y, scratch);
+        factor.btran(a, col_buf, y, scratch);
     }
 
     /// Fills `self.red_costs` with all structural reduced costs
@@ -338,12 +470,13 @@ impl<'a> Revised<'a> {
     fn ftran_column(&mut self, q: usize) {
         column_into(self.a, self.n, &self.art_rows, q, &mut self.col_buf);
         let Self {
+            a,
             factor,
             col_buf,
             dir,
             ..
         } = self;
-        factor.ftran(col_buf, dir);
+        factor.ftran(a, col_buf, dir);
     }
 
     /// Primal simplex loop on the given costs over structural columns.
@@ -449,7 +582,7 @@ impl<'a> Revised<'a> {
                 row_prod,
                 ..
             } = self;
-            factor.btran(col_buf, dir, scratch); // `dir` holds B⁻ᵀe_r here
+            factor.btran(a, col_buf, dir, scratch); // `dir` holds B⁻ᵀe_r here
             row_prod.fill(0.0);
             for (vi, row) in dir.iter().zip(a.iter()) {
                 if *vi == 0.0 {
@@ -555,8 +688,9 @@ pub(crate) fn solve_revised(
         }
     }
     let has_artificials = !art_rows.is_empty();
-    let mut state = Revised::new(&sf.a, &sf.b, n, basis, art_rows, None)
-        .map_err(|_| LpError::IterationLimit)?;
+    let units = unit_columns(&sf.a, n);
+    let mut state =
+        Revised::new(&sf.a, &units, &sf.b, basis, art_rows).map_err(|_| LpError::IterationLimit)?;
 
     if has_artificials {
         // ---- Phase 1: minimize the sum of artificials. ----
@@ -594,7 +728,7 @@ pub(crate) fn solve_revised(
                     row_prod,
                     ..
                 } = &mut state;
-                factor.btran(col_buf, dir, scratch);
+                factor.btran(a, col_buf, dir, scratch);
                 row_prod.fill(0.0);
                 for (vi, row) in dir.iter().zip(a.iter()) {
                     if *vi == 0.0 {
@@ -630,8 +764,11 @@ pub(crate) fn solve_revised(
 ///   changed, e.g. the batched support-function loop), or
 /// * **dual** pivots when it is still dual feasible (RHS changed, e.g. the
 ///   templated tube-MPC resolve), followed by a primal clean-up pass.
+///
+/// `units` is the unit structure of `a`'s columns ([`unit_columns`]).
 pub(crate) fn solve_revised_warm(
     a: &[Vec<f64>],
+    units: &[UnitColumn],
     b: &[f64],
     c: &[f64],
     carry: &mut WarmCarry,
@@ -652,9 +789,9 @@ pub(crate) fn solve_revised_warm(
     if carry.basis.len() != m || carry.basis.iter().any(|&j| j >= n) {
         return WarmOutcome::Fallback(WarmFailure::NotRestorable);
     }
+    debug_assert_eq!(units.len(), n);
     let basis = std::mem::take(&mut carry.basis);
-    let factor = carry.factor.take();
-    let mut state = match Revised::new(a, b, n, basis, Vec::new(), factor) {
+    let mut state = match Revised::new(a, units, b, basis, Vec::new()) {
         Ok(s) => s,
         Err(f) => return WarmOutcome::Fallback(f),
     };
@@ -681,17 +818,13 @@ pub(crate) fn solve_revised_warm(
     match outcome {
         Ok(()) => {
             let solution = state.solution(c);
-            // Hand the live factorization back to the carry: the next
-            // solve in the sequence starts from it without refactorizing.
             carry.basis = state.basis;
-            carry.factor = Some(state.factor);
             WarmOutcome::Solved(solution)
         }
         Err(e @ (LpError::Infeasible | LpError::Unbounded)) => {
-            // Definite verdicts leave the basis/factor pair intact (every
-            // pivot kept them in sync), so later solves stay warm.
+            // A definite verdict leaves a valid basis behind, so later
+            // solves stay warm.
             carry.basis = state.basis;
-            carry.factor = Some(state.factor);
             WarmOutcome::Lp(e)
         }
         // Numerical trouble (pivot limit, mid-solve singular
@@ -734,6 +867,12 @@ mod tests {
         let mut carry = WarmCarry::default();
         carry.set_basis(basis);
         carry
+    }
+
+    /// [`solve_revised_warm`] with the unit structure computed from `a`.
+    fn warm_solve(a: &[Vec<f64>], b: &[f64], c: &[f64], carry: &mut WarmCarry) -> WarmOutcome {
+        let units = unit_columns(a, c.len());
+        solve_revised_warm(a, &units, b, c, carry)
     }
 
     /// min -x1 - x2 s.t. x1 + 2x2 + s1 = 4; 3x1 + x2 + s2 = 6; all ≥ 0.
@@ -820,14 +959,14 @@ mod tests {
         // Tighten the RHS: the previous basis stays dual feasible.
         let mut carry = carry_from(&cold.basis);
         let b2 = vec![2.5, 1.5];
-        let warm = unwrap_warm(solve_revised_warm(&base.a, &b2, &base.c, &mut carry));
+        let warm = unwrap_warm(warm_solve(&base.a, &b2, &base.c, &mut carry));
         assert!((warm.objective + 4.0).abs() < 1e-9, "{}", warm.objective);
         assert!((warm.x[0] - 2.5).abs() < 1e-9);
         assert!((warm.x[1] - 1.5).abs() < 1e-9);
-        assert!(carry.factor.is_some(), "factor carried out for reuse");
-        // A further perturbation rides the carried factorization.
+        assert_eq!(carry.basis.len(), 2, "the optimal basis is carried out");
+        // A further perturbation rides the carried basis.
         let b3 = vec![3.0, 2.0];
-        let again = unwrap_warm(solve_revised_warm(&base.a, &b3, &base.c, &mut carry));
+        let again = unwrap_warm(warm_solve(&base.a, &b3, &base.c, &mut carry));
         assert!((again.objective + 5.0).abs() < 1e-9, "{}", again.objective);
     }
 
@@ -842,7 +981,7 @@ mod tests {
         // New objective rewards x2 instead; the basis stays primal feasible.
         let c2 = vec![0.0, -1.0, 0.0, 0.0];
         let mut carry = carry_from(&cold.basis);
-        let warm = unwrap_warm(solve_revised_warm(&base.a, &base.b, &c2, &mut carry));
+        let warm = unwrap_warm(warm_solve(&base.a, &base.b, &c2, &mut carry));
         let retarget = sf(base.a.clone(), base.b.clone(), c2);
         let direct = solve_revised(&retarget, &[Some(2), Some(3)]).unwrap();
         assert!((warm.objective - direct.objective).abs() < 1e-9);
@@ -862,7 +1001,7 @@ mod tests {
         let cold = solve_revised(&near, &[Some(2), Some(3)]).unwrap();
         assert!((cold.objective + 3.0).abs() < 1e-9);
         let mut carry = carry_from(&cold.basis);
-        let warm = unwrap_warm(solve_revised_warm(&tight.a, &tight.b, &tight.c, &mut carry));
+        let warm = unwrap_warm(warm_solve(&tight.a, &tight.b, &tight.c, &mut carry));
         assert!((warm.objective + 3.0).abs() < 1e-9, "{}", warm.objective);
     }
 
@@ -871,12 +1010,12 @@ mod tests {
         let base = sf(vec![vec![1.0, 1.0]], vec![1.0], vec![1.0, 0.0]);
         let mut bad_col = carry_from(&[5]);
         assert!(matches!(
-            solve_revised_warm(&base.a, &base.b, &base.c, &mut bad_col),
+            warm_solve(&base.a, &base.b, &base.c, &mut bad_col),
             WarmOutcome::Fallback(WarmFailure::NotRestorable)
         ));
         let mut bad_len = carry_from(&[0, 1]);
         assert!(matches!(
-            solve_revised_warm(&base.a, &base.b, &base.c, &mut bad_len),
+            warm_solve(&base.a, &base.b, &base.c, &mut bad_len),
             WarmOutcome::Fallback(WarmFailure::NotRestorable)
         ));
     }
@@ -902,7 +1041,7 @@ mod tests {
             panic!("expected artificial-free basis");
         };
         let mut carry = carry_from(basis);
-        let warm = unwrap_warm(solve_revised_warm(
+        let warm = unwrap_warm(warm_solve(
             &feasible.a,
             &feasible.b,
             &feasible.c,
@@ -911,12 +1050,12 @@ mod tests {
         assert!((warm.objective - 2.0).abs() < 1e-9);
         let b_bad = vec![1.0, -2.0];
         assert!(matches!(
-            solve_revised_warm(&feasible.a, &b_bad, &feasible.c, &mut carry),
+            warm_solve(&feasible.a, &b_bad, &feasible.c, &mut carry),
             WarmOutcome::Lp(LpError::Infeasible)
         ));
         // The infeasible verdict keeps the carry warm for later solves.
         assert!(!carry.is_empty());
-        let recovered = unwrap_warm(solve_revised_warm(
+        let recovered = unwrap_warm(warm_solve(
             &feasible.a,
             &feasible.b,
             &feasible.c,
@@ -951,5 +1090,137 @@ mod tests {
             revised.objective,
             tableau.objective
         );
+    }
+
+    /// `UnitLu` over the working matrix `a` (plus artificials on
+    /// `art_rows`) for `basis`.
+    fn unit_lu(a: &[Vec<f64>], art_rows: &[usize], basis: &[usize]) -> Result<UnitLu, WarmFailure> {
+        let units = unit_columns(a, a[0].len());
+        UnitLu::new(a, &units, art_rows, basis)
+    }
+
+    #[test]
+    fn unit_columns_on_one_row_are_a_singular_basis() {
+        // Columns: e₀, 2e₀, a dense column; artificial column 3 sits on row 0.
+        let a = vec![vec![1.0, 2.0, 1.0], vec![0.0, 0.0, 1.0]];
+        assert!(matches!(
+            unit_lu(&a, &[0], &[0, 1]),
+            Err(WarmFailure::SingularBasis)
+        ));
+        assert!(matches!(
+            unit_lu(&a, &[0], &[3, 0]),
+            Err(WarmFailure::SingularBasis)
+        ));
+        assert!(unit_lu(&a, &[0], &[0, 2]).is_ok());
+    }
+
+    #[test]
+    fn singular_kernel_block_is_a_singular_basis() {
+        // Columns 0 and 1 agree up to scale on the rows the slack (column
+        // 2, row 2) leaves uncovered, so the 2 × 2 block is singular.
+        let a = vec![
+            vec![1.0, 2.0, 0.0],
+            vec![1.0, 2.0, 0.0],
+            vec![1.0, 5.0, 1.0],
+        ];
+        assert!(matches!(
+            unit_lu(&a, &[], &[0, 1, 2]),
+            Err(WarmFailure::SingularBasis)
+        ));
+    }
+
+    use oic_linalg::Matrix;
+    use proptest::prelude::*;
+
+    /// A random basis: per row a kind (0 structural, 1 slack, 2
+    /// artificial), a slack sign, the structural entries, position keys
+    /// for shuffling, and the FTRAN/BTRAN right-hand sides.
+    #[allow(clippy::type_complexity)]
+    fn random_basis() -> impl Strategy<
+        Value = (
+            Vec<usize>,
+            Vec<bool>,
+            Vec<f64>,
+            Vec<f64>,
+            Vec<f64>,
+            Vec<f64>,
+        ),
+    > {
+        (2usize..9).prop_flat_map(|m| {
+            (
+                prop::collection::vec(0usize..3, m),
+                prop::collection::vec(prop::bool::ANY, m),
+                prop::collection::vec(-1.0f64..1.0, m * (m + 1)),
+                prop::collection::vec(0.0f64..1.0, m),
+                prop::collection::vec(-5.0f64..5.0, m),
+                prop::collection::vec(-5.0f64..5.0, m),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// FTRAN and BTRAN through the unit factor agree with a dense LU
+        /// of the same basis matrix.
+        #[test]
+        fn unit_factor_matches_dense_lu(
+            (kinds, signs, entries, keys, v, c) in random_basis()
+        ) {
+            let m = kinds.len();
+            let kernel_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 0).collect();
+            let k = kernel_rows.len();
+            // Columns: k + 1 dense structural columns (column t is
+            // diagonally dominant on kernel row t; the last one never
+            // enters), then one ±1 slack per row.
+            let n = k + 1 + m;
+            let mut a = vec![vec![0.0; n]; m];
+            for (t, col) in entries.chunks(m).take(k + 1).enumerate() {
+                for (i, &e) in col.iter().enumerate() {
+                    a[i][t] = e + if kernel_rows.get(t) == Some(&i) { 8.0 } else { 0.0 };
+                    if a[i][t] == 0.0 {
+                        a[i][t] = 0.5;
+                    }
+                }
+            }
+            for i in 0..m {
+                a[i][k + 1 + i] = if signs[i] { 1.0 } else { -1.0 };
+            }
+            let art_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 2).collect();
+            let mut columns: Vec<usize> = (0..m)
+                .map(|i| match kinds[i] {
+                    0 => kernel_rows.iter().position(|&r| r == i).unwrap(),
+                    1 => k + 1 + i,
+                    _ => n + art_rows.iter().position(|&r| r == i).unwrap(),
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by(|&p, &q| keys[p].total_cmp(&keys[q]));
+            columns = order.iter().map(|&p| columns[p]).collect();
+
+            let mut dense = Matrix::zeros(m, m);
+            let mut col = vec![0.0; m];
+            for (pos, &j) in columns.iter().enumerate() {
+                column_into(&a, n, &art_rows, j, &mut col);
+                for (i, &e) in col.iter().enumerate() {
+                    dense[(i, pos)] = e;
+                }
+            }
+            let lu = LuDecomposition::new(&dense).expect("dominant basis is nonsingular");
+            let units = unit_columns(&a, n);
+            let mut factor = UnitLu::new(&a, &units, &art_rows, &columns)
+                .expect("unit factor of a nonsingular basis");
+            prop_assert_eq!(factor.kernel_col.len(), k);
+
+            let mut out = vec![0.0; m];
+            factor.ftran(&a, &v, &mut out);
+            for (x, y) in out.iter().zip(&lu.solve(&v).unwrap()) {
+                prop_assert!((x - y).abs() < 1e-9, "ftran {x} vs dense {y}");
+            }
+            factor.btran(&a, &c, &mut out);
+            for (x, y) in out.iter().zip(&lu.solve_transposed(&c).unwrap()) {
+                prop_assert!((x - y).abs() < 1e-9, "btran {x} vs dense {y}");
+            }
+        }
     }
 }

@@ -118,8 +118,7 @@ impl Controller for ScenarioController {
         cache: &mut oic_control::ControlCache,
     ) -> Result<Vec<f64>, ControlError> {
         match self {
-            // The tube MPC carries its LP warm-start basis in the cache
-            // (active when `oic_control::warm_mpc_enabled()`).
+            // The tube MPC carries its LP warm-start basis in the cache.
             ScenarioController::Tube(mpc) => mpc.control_with_cache(x, cache),
             ScenarioController::Linear(k) => k.control(x),
         }
