@@ -222,10 +222,7 @@ fn main() {
         });
         // RPI synthesis: the certified tube (facet-ratio Raković sum plus
         // the support-template invariance closure), measured end to end.
-        let gain_loop = instance
-            .tube()
-            .expect("registry scenarios attach tubes")
-            .clone();
+        let gain_loop = instance.tube().expect("registry scenarios certify tubes");
         let rpi_ns = median_ns(samples.min(10), || {
             let w = gain_loop.disturbance().clone();
             let a_cl = gain_loop.closed_loop().clone();

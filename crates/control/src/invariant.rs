@@ -33,7 +33,7 @@ use crate::{ConstrainedLti, ControlError};
 pub struct InvariantOptions {
     /// Maximum fixpoint iterations (or Minkowski terms for Raković).
     pub max_iterations: usize,
-    /// Set-equality tolerance used to detect the fixpoint.
+    /// Inclusion tolerance used to detect the fixpoint.
     pub set_tolerance: f64,
     /// Raković only: stop once the scaling factor `α` drops below this.
     pub alpha_target: f64,
@@ -65,7 +65,9 @@ pub struct RakovicRpi {
 /// `constraint`.
 ///
 /// Iterates `Ω ← Ω ∩ (Ω ⊖ W) ∘ A_cl⁻¹` (as a pre-image, no inversion) until
-/// the set stops changing.
+/// the set stops changing. Each iterate is a subset of the previous one
+/// by construction, so the fixpoint test checks only the inclusion that
+/// can fail, `Ω ⊆ Ω ∩ Pre(Ω)`.
 ///
 /// # Errors
 ///
@@ -107,7 +109,7 @@ pub fn max_rpi<S: SupportFunction>(
         if next.is_empty() {
             return Err(ControlError::EmptySet);
         }
-        if next.set_eq(&omega, options.set_tolerance)? {
+        if omega.is_subset_of(&next, options.set_tolerance)? {
             return Ok(next);
         }
         omega = next;
@@ -154,7 +156,8 @@ pub fn robust_controllable_pre(
 }
 
 /// Computes the maximal robust control invariant set of a constrained plant
-/// inside its safe set `X` (paper reference \[17\]).
+/// inside its safe set `X` (paper reference \[17\]), by the fixpoint
+/// iteration `Ω ← Ω ∩ Pre(Ω)`, stopped like [`max_rpi`]'s on `Ω ⊆ Ω ∩ Pre(Ω)`.
 ///
 /// # Errors
 ///
@@ -175,7 +178,7 @@ pub fn max_rci(
         if next.is_empty() {
             return Err(ControlError::EmptySet);
         }
-        if next.set_eq(&omega, options.set_tolerance)? {
+        if omega.is_subset_of(&next, options.set_tolerance)? {
             return Ok(next);
         }
         omega = next;

@@ -66,6 +66,9 @@ pub struct SafeSets {
     safe: Polytope,
     invariant: Polytope,
     strengthened: Polytope,
+    /// `X′`'s bounding box `(lo, hi)`, the initial-state sampler's
+    /// proposal region.
+    strengthened_box: (Vec<f64>, Vec<f64>),
 }
 
 impl SafeSets {
@@ -79,7 +82,9 @@ impl SafeSets {
     ///
     /// * [`CoreError::EmptySet`] — the invariant or strengthened set is
     ///   empty.
-    /// * [`CoreError::Geometry`] — an LP failed while shrinking by `W`.
+    /// * [`CoreError::Geometry`] — an LP failed while shrinking by `W`,
+    ///   or `X′` is unbounded (its bounding box, which the initial-state
+    ///   sampler draws from, is computed here once).
     pub fn new(
         plant: ConstrainedLti,
         invariant: Polytope,
@@ -96,6 +101,7 @@ impl SafeSets {
         if strengthened.is_empty() {
             return Err(CoreError::EmptySet);
         }
+        let strengthened_box = strengthened.bounding_box()?;
         let safe = plant.safe_set().clone();
         Ok(Self {
             plant,
@@ -103,6 +109,7 @@ impl SafeSets {
             safe,
             invariant,
             strengthened,
+            strengthened_box,
         })
     }
 
@@ -200,16 +207,14 @@ impl SafeSets {
     /// Samples a state uniformly from the strengthened safe set `X′` by
     /// rejection from its bounding box (the experiments' "randomly pick
     /// feasible initial states within X′" protocol), falling back to the
-    /// Chebyshev center for razor-thin sets.
+    /// Chebyshev center for razor-thin sets. The box was computed once by
+    /// [`SafeSets::new`], so a sample solves no LP.
     pub fn sample_strengthened<R: rand::Rng>(&self, rng: &mut R) -> Vec<f64> {
-        let (lo, hi) = self
-            .strengthened
-            .bounding_box()
-            .expect("strengthened set is bounded and non-empty");
+        let (lo, hi) = &self.strengthened_box;
         for _ in 0..10_000 {
             let candidate: Vec<f64> = lo
                 .iter()
-                .zip(&hi)
+                .zip(hi)
                 .map(|(l, h)| if h > l { rng.gen_range(*l..=*h) } else { *l })
                 .collect();
             if self.strengthened.contains(&candidate) {

@@ -24,13 +24,15 @@ use crate::{CoreError, PolicyContext, SafeSets, SkipDecision, SkipPolicy};
 /// Computes the consecutive-skip chain `X′₁, …, X′_k_max` (element `i`
 /// holds `X′_{i+1}`).
 ///
-/// The chain stops early (returning fewer than `k_max` sets) as soon as a
+/// Level 1 is `sets.strengthened()` itself, which [`SafeSets::new`]
+/// already computed by the same recursion; the chain grows from it. The
+/// chain stops early (returning fewer than `k_max` sets) as soon as a
 /// level becomes empty.
 ///
 /// # Errors
 ///
-/// Propagates geometry failures; an empty *first* level is reported as
-/// [`CoreError::EmptySet`] (the sets were not certified).
+/// Propagates geometry failures. Level 1 is never empty:
+/// [`SafeSets::new`] rejects an empty `X′` with [`CoreError::EmptySet`].
 ///
 /// # Examples
 ///
@@ -49,18 +51,18 @@ use crate::{CoreError, PolicyContext, SafeSets, SkipDecision, SkipPolicy};
 /// ```
 pub fn consecutive_skip_sets(sets: &SafeSets, k_max: usize) -> Result<Vec<Polytope>, CoreError> {
     let mut chain = Vec::with_capacity(k_max);
-    let mut current = sets.invariant().clone();
-    for level in 0..k_max {
-        let backward = SafeSets::backward_reachable(sets.plant(), &current, sets.skip_input())?;
+    if k_max == 0 {
+        return Ok(chain);
+    }
+    chain.push(sets.strengthened().clone());
+    for _ in 1..k_max {
+        let current = chain.last().expect("level 1 is pushed above");
+        let backward = SafeSets::backward_reachable(sets.plant(), current, sets.skip_input())?;
         let next = backward.intersection(sets.invariant()).remove_redundant();
         if next.is_empty() {
-            if level == 0 {
-                return Err(CoreError::EmptySet);
-            }
             break;
         }
-        chain.push(next.clone());
-        current = next;
+        chain.push(next);
     }
     Ok(chain)
 }

@@ -804,7 +804,15 @@ pub fn run_batch_opts(
                 continue;
             }
         }
-        let instance = scenario.build().map_err(|source| EngineError::Episode {
+        let instance = {
+            let _span =
+                oic_obs::span_with("engine.build", "engine", || scenario.name().to_string());
+            let timer = oic_obs::Stopwatch::start();
+            let built = scenario.build();
+            timer.stop_into(oic_obs::histogram!("scenario.build_ns", "ns"));
+            built
+        }
+        .map_err(|source| EngineError::Episode {
             context: format!("{}/build", scenario.name()),
             source,
         })?;

@@ -43,21 +43,11 @@ impl Scenario for AccScenario {
     fn build(&self) -> Result<ScenarioInstance, CoreError> {
         let coast = SkipInput::Vector(vec![-self.params.u_eq()]);
         let case = AccCaseStudy::build(self.params.clone(), self.horizon, coast)?;
-        // The tube certificate uses the MPC's local (terminal) loop —
-        // read from the controller so it can never diverge from the gain
-        // the terminal set was actually synthesized with.
-        let gain = case
-            .mpc()
-            .terminal_gain()
-            .expect("tube MPC synthesizes its terminal set from a gain")
-            .clone();
-        let tube = crate::certified_tube(case.sets().plant(), &gain)?;
         Ok(ScenarioInstance::new(
             self.name(),
             case.sets().clone(),
             ScenarioController::Tube(Box::new(case.mpc().clone())),
-        )
-        .with_tube(tube))
+        ))
     }
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {

@@ -69,17 +69,11 @@ impl Scenario for LaneKeepingScenario {
             .build()?;
         let sets = SafeSets::for_tube_mpc(&mpc, &SkipInput::Zero)?;
         sets.certify()?;
-        // Tube certificate for the MPC's local (terminal) loop — read
-        // from the controller, not re-derived.
-        let gain = mpc
-            .terminal_gain()
-            .expect("tube MPC synthesizes its terminal set from a gain")
-            .clone();
-        let tube = crate::certified_tube(sets.plant(), &gain)?;
-        Ok(
-            ScenarioInstance::new(self.name(), sets, ScenarioController::Tube(Box::new(mpc)))
-                .with_tube(tube),
-        )
+        Ok(ScenarioInstance::new(
+            self.name(),
+            sets,
+            ScenarioController::Tube(Box::new(mpc)),
+        ))
     }
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {

@@ -24,10 +24,13 @@
 //! Every scenario's sets pass [`oic_core::SafeSets::certify`] (exact LP
 //! inclusion certificates), so Theorem 1 holds for *any* skipping policy
 //! on *any* registered scenario — the property tests sweep exactly that.
-//! On top of the hierarchy, every `build()` attaches the **certified
-//! minimal-RPI tube** of its closed loop ([`certified_tube`]): the
-//! dimension-generic Raković synthesis plus an exact facet-by-facet
-//! support certificate, in 2, 3, and 4 state dimensions alike.
+//! On top of the hierarchy, [`ScenarioInstance::tube`] derives the
+//! **certified minimal-RPI tube** of the controller's local loop on
+//! demand ([`certified_tube`]): the dimension-generic Raković synthesis
+//! plus an exact facet-by-facet support certificate, in 2, 3, and 4
+//! state dimensions alike. `build()` does not synthesize it, since no
+//! engine, service, or runtime path reads it; the `tube_certificates`
+//! tests derive and verify it for every registry scenario.
 //!
 //! # Examples
 //!
@@ -39,7 +42,7 @@
 //! let scenario = registry.get("cstr").expect("registered");
 //! let instance = scenario.build().expect("builds and certifies");
 //! instance.sets().certify().expect("certificates hold");
-//! assert!(instance.tube().is_some(), "certified RPI tube attached");
+//! assert!(instance.tube().is_ok(), "certified RPI tube derives");
 //! ```
 
 use oic_control::{
@@ -127,16 +130,17 @@ impl Controller for ScenarioController {
 
 /// Synthesizes the **certified minimal-RPI tube** `Ξ` of a scenario's
 /// closed loop `A + BK`: the paper's `XI = α(W ⊕ A_K W ⊕ …)` construction
-/// via the dimension-generic [`rakovic_rpi_certified`]. Every registry
-/// scenario attaches this certificate at `build()` — the concrete witness
-/// that the Raković pipeline works for the plant, in any state dimension.
+/// via the dimension-generic [`rakovic_rpi_certified`]. Called on demand
+/// by [`ScenarioInstance::tube`], never by `build()` — the concrete
+/// witness that the Raković pipeline works for the plant, in any state
+/// dimension, which the `tube_certificates` tests check for every
+/// registry scenario.
 ///
 /// The returned polytope is invariant **by construction**: its template
 /// offsets close the facet-by-facet support inequalities analytically
 /// (see [`oic_control::certify_template`]). [`oic_control::verify_rpi`]
 /// — the independent LP certificate — is deliberately left to the test
-/// suites (the `tube_certificates` integration tests) so a batch engine
-/// run does not re-pay one LP per tube facet for every scenario build.
+/// suites (the `tube_certificates` integration tests).
 ///
 /// The disturbance is taken as the centered box hull of the plant's `W`
 /// (every registry `W` is an origin-symmetric box, so this is exact).
@@ -210,7 +214,6 @@ pub struct ScenarioInstance {
     name: &'static str,
     sets: SafeSets,
     controller: ScenarioController,
-    tube: Option<TubeCertificate>,
 }
 
 impl ScenarioInstance {
@@ -235,20 +238,7 @@ impl ScenarioInstance {
             name,
             sets,
             controller,
-            tube: None,
         }
-    }
-
-    /// Attaches the certified minimal-RPI tube (see [`certified_tube`]).
-    #[must_use]
-    pub fn with_tube(mut self, tube: TubeCertificate) -> Self {
-        assert_eq!(
-            tube.set().dim(),
-            self.sets.plant().system().state_dim(),
-            "tube dimension mismatch"
-        );
-        self.tube = Some(tube);
-        self
     }
 
     /// The scenario name this instance was built from.
@@ -261,11 +251,21 @@ impl ScenarioInstance {
         &self.sets
     }
 
-    /// The certified minimal-RPI tube `Ξ` of the scenario's closed loop,
-    /// when the scenario attached one at `build()` (all registry
-    /// scenarios do).
-    pub fn tube(&self) -> Option<&TubeCertificate> {
-        self.tube.as_ref()
+    /// Derives the certified minimal-RPI tube `Ξ` ([`certified_tube`]) of
+    /// the controller's local loop `A + BK`: `K` is the feedback gain of a
+    /// linear controller, or the terminal gain of a tube MPC.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::MissingGain`] — a tube MPC built with an overridden
+    ///   terminal set and no terminal gain has no local loop.
+    /// * [`CoreError::Control`] — tube synthesis failed.
+    pub fn tube(&self) -> Result<TubeCertificate, CoreError> {
+        let gain = match &self.controller {
+            ScenarioController::Linear(feedback) => feedback.gain(),
+            ScenarioController::Tube(mpc) => mpc.terminal_gain().ok_or(CoreError::MissingGain)?,
+        };
+        certified_tube(self.sets.plant(), gain)
     }
 
     /// The underlying safe controller.
@@ -326,7 +326,13 @@ pub trait Scenario: Send + Sync {
     /// One-line human description.
     fn description(&self) -> &'static str;
 
-    /// Builds the plant, controller, and **certified** set hierarchy.
+    /// Builds the plant, controller, and **certified** set hierarchy
+    /// ([`SafeSets::certify`], Theorem 1's premises).
+    ///
+    /// Builds only what episodes read: the minimal-RPI tube is derived on
+    /// demand by [`ScenarioInstance::tube`], so a scenario whose tube
+    /// cannot be certified still builds — the `tube_certificates` tests
+    /// are what reject it.
     ///
     /// # Errors
     ///
@@ -368,6 +374,64 @@ mod tests {
                 .disturbance_set()
                 .contains_with_tol(w, 1e-9));
         }
+    }
+
+    /// `A + B·K` for the instance's plant.
+    fn expected_loop(instance: &ScenarioInstance, gain: &Matrix) -> Matrix {
+        let sys = instance.sets().plant().system();
+        sys.a() + &(sys.b() * gain)
+    }
+
+    #[test]
+    fn tube_of_a_tube_mpc_uses_its_terminal_gain() {
+        for scenario in [
+            &AccScenario::default() as &dyn Scenario,
+            &LaneKeepingScenario::default(),
+        ] {
+            let instance = scenario.build().unwrap();
+            let ScenarioController::Tube(mpc) = instance.controller() else {
+                panic!("{} runs a tube MPC", scenario.name());
+            };
+            let gain = mpc.terminal_gain().expect("terminal set from a gain");
+            let tube = instance.tube().unwrap();
+            assert_eq!(
+                tube.closed_loop(),
+                &expected_loop(&instance, gain),
+                "{}",
+                scenario.name()
+            );
+        }
+    }
+
+    #[test]
+    fn tube_of_a_linear_controller_uses_its_feedback_gain() {
+        let instance = DoubleIntegratorScenario.build().unwrap();
+        let ScenarioController::Linear(feedback) = instance.controller() else {
+            panic!("double-integrator runs a linear feedback");
+        };
+        let tube = instance.tube().unwrap();
+        assert_eq!(
+            tube.closed_loop(),
+            &expected_loop(&instance, feedback.gain())
+        );
+        assert!(tube.verify(1e-6).unwrap());
+    }
+
+    #[test]
+    fn tube_of_a_gainless_tube_mpc_is_an_error() {
+        // An overridden terminal set without a terminal gain leaves the
+        // MPC with no local loop to certify a tube for.
+        let plant = LaneKeepingScenario::default().plant();
+        let mpc = oic_control::TubeMpcBuilder::new(plant.clone(), 1)
+            .terminal_set(Polytope::from_box(&[-0.5, -0.5], &[0.5, 0.5]))
+            .build()
+            .unwrap();
+        assert!(mpc.terminal_gain().is_none());
+        let invariant = plant.safe_set().clone();
+        let sets = SafeSets::new(plant, invariant, &oic_core::SkipInput::Zero).unwrap();
+        let instance =
+            ScenarioInstance::new("gainless", sets, ScenarioController::Tube(Box::new(mpc)));
+        assert_eq!(instance.tube().unwrap_err(), CoreError::MissingGain);
     }
 
     #[test]

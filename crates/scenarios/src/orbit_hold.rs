@@ -83,13 +83,11 @@ impl Scenario for OrbitHoldScenario {
         let gain = self.gain()?;
         let sets = SafeSets::for_linear_feedback(self.plant(), &gain, &SkipInput::Zero)?;
         sets.certify()?;
-        let tube = crate::certified_tube(sets.plant(), &gain)?;
         Ok(ScenarioInstance::new(
             self.name(),
             sets,
             ScenarioController::Linear(LinearFeedback::new(gain)),
-        )
-        .with_tube(tube))
+        ))
     }
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {

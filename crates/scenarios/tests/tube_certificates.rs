@@ -1,7 +1,8 @@
-//! Registry-wide tube certification: every scenario's `build()` must
-//! attach a minimal-RPI tube whose analytic construction survives the
+//! Registry-wide tube certification: every scenario's instance must
+//! derive a minimal-RPI tube whose analytic construction survives the
 //! independent facet-by-facet LP certificate — in 2, 3, and 4 state
-//! dimensions.
+//! dimensions. `build()` does not synthesize the tube, so these tests
+//! are what reject a scenario whose tube cannot be certified.
 
 use oic_geom::SupportFunction;
 use oic_scenarios::ScenarioRegistry;
@@ -16,7 +17,7 @@ fn every_scenario_attaches_a_verified_tube() {
             .unwrap_or_else(|e| panic!("{} failed to build: {e}", scenario.name()));
         let tube = instance
             .tube()
-            .unwrap_or_else(|| panic!("{} attached no tube certificate", scenario.name()));
+            .unwrap_or_else(|e| panic!("{} derived no tube certificate: {e}", scenario.name()));
         let n = instance.sets().plant().system().state_dim();
         assert_eq!(tube.set().dim(), n, "{}: tube dimension", scenario.name());
         // Independent LP certificate of the analytic chain construction.
@@ -56,7 +57,7 @@ fn higher_dimensional_tubes_are_genuinely_higher_dimensional() {
                 .build()
                 .expect("builds")
                 .tube()
-                .expect("tube attached")
+                .expect("tube derives")
                 .set()
                 .dim()
         })

@@ -20,16 +20,29 @@
 //!   reports (`batch --shard i/n`) into the byte-identical unsharded
 //!   report (`--out -` prints to stdout).
 //!
+//! Flag parsing is strict: an unknown flag, a flag missing its value, a
+//! value that does not parse, or a stray positional argument prints the
+//! problem and the subcommand's usage to stderr and exits 2; `--help`
+//! prints the usage to stdout and exits 0.
+//!
 //! Protocol, canonicalization, and shard contracts: `docs/PROTOCOL.md`;
 //! fault model and degradation matrix: `docs/ROBUSTNESS.md`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use oic_engine::{CellCache, JsonValue};
 use oic_scenarios::ScenarioRegistry;
 use oic_serve::{merge_reports, ServeConfig, SweepServer};
+
+const DEFAULT_ADDR: &str = "127.0.0.1:8787";
+
+const LISTEN_FLAGS: &str = "[--addr HOST:PORT] [--cache-dir DIR] [--mem-cells N] \
+[--read-timeout SECS] [--write-timeout SECS] [--max-inflight N] [--allow-shutdown]";
+const QUERY_FLAGS: &str = "[--addr HOST:PORT] [--timeout SECS] [--retries N] [SPEC.json|-]";
+const MERGE_FLAGS: &str = "[--out MERGED.json|-] SHARD.json...";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,11 +52,18 @@ fn main() {
         args.remove(0)
     };
     let code = match command.as_str() {
-        "listen" => listen(&args),
-        "query" => query(&args),
-        "merge" => merge(&args),
+        "listen" => listen(parsed_or_exit(
+            "listen",
+            LISTEN_FLAGS,
+            ListenArgs::parse(args),
+        )),
+        "query" => query(parsed_or_exit("query", QUERY_FLAGS, QueryArgs::parse(args))),
+        "merge" => merge(parsed_or_exit("merge", MERGE_FLAGS, MergeArgs::parse(args))),
         "--help" | "help" | "-h" => {
-            eprintln!("usage: serve [listen|query|merge] …  (see crate docs / docs/PROTOCOL.md)");
+            println!("usage: serve listen {LISTEN_FLAGS}");
+            println!("       serve query {QUERY_FLAGS}");
+            println!("       serve merge {MERGE_FLAGS}");
+            println!("(see the crate docs and docs/PROTOCOL.md)");
             0
         }
         other => {
@@ -54,41 +74,166 @@ fn main() {
     std::process::exit(code);
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|at| args.get(at + 1).cloned())
+/// Why a subcommand's parser produced no arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ArgsError {
+    /// `--help` was given: print the usage and succeed.
+    Help,
+    /// An unknown flag, a flag without its value, a value that does not
+    /// parse, or a stray positional argument; the message names it.
+    Invalid(String),
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// `--read-timeout`/`--write-timeout` in whole seconds; `0` disables
-/// the deadline entirely.
-fn timeout_flag(args: &[String], flag: &str, default: Option<Duration>) -> Option<Duration> {
-    match flag_value(args, flag).and_then(|v| v.parse::<u64>().ok()) {
-        Some(0) => None,
-        Some(secs) => Some(Duration::from_secs(secs)),
-        None => default,
+/// The parsed arguments of `serve <command>`, or the usage exit its
+/// error calls for: `--help` prints the usage to stdout and exits 0,
+/// invalid input prints the problem and the usage to stderr and exits 2.
+fn parsed_or_exit<T>(command: &str, flags: &str, parsed: Result<T, ArgsError>) -> T {
+    match parsed {
+        Ok(args) => args,
+        Err(ArgsError::Help) => {
+            println!("usage: serve {command} {flags}");
+            std::process::exit(0);
+        }
+        Err(ArgsError::Invalid(problem)) => {
+            eprintln!("serve {command}: {problem}\nusage: serve {command} {flags}");
+            std::process::exit(2);
+        }
     }
 }
 
-fn listen(args: &[String]) -> i32 {
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8787".to_string());
-    let cache_dir = flag_value(args, "--cache-dir").map(std::path::PathBuf::from);
-    let mem_cells = flag_value(args, "--mem-cells")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096);
-    let defaults = ServeConfig::default();
-    let config = ServeConfig {
-        read_timeout: timeout_flag(args, "--read-timeout", defaults.read_timeout),
-        write_timeout: timeout_flag(args, "--write-timeout", defaults.write_timeout),
-        max_inflight: flag_value(args, "--max-inflight")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.max_inflight),
-        allow_shutdown: has_flag(args, "--allow-shutdown"),
-    };
+/// The value following `flag`, or the error naming the missing value.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ArgsError> {
+    args.next()
+        .ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))
+}
+
+/// The number following `flag`, or the error naming what did not parse.
+fn flag_number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, ArgsError> {
+    let value = flag_value(args, flag)?;
+    value
+        .parse()
+        .map_err(|_| ArgsError::Invalid(format!("{flag} expects a number, got {value:?}")))
+}
+
+/// A socket deadline in whole seconds; `0` disables it.
+fn flag_seconds(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<Option<Duration>, ArgsError> {
+    let secs: u64 = flag_number(args, flag)?;
+    Ok((secs > 0).then(|| Duration::from_secs(secs)))
+}
+
+fn unknown(arg: &str) -> ArgsError {
+    ArgsError::Invalid(format!("unknown argument {arg:?}"))
+}
+
+/// `serve listen`'s arguments.
+#[derive(Debug)]
+struct ListenArgs {
+    addr: String,
+    cache_dir: Option<PathBuf>,
+    mem_cells: usize,
+    config: ServeConfig,
+}
+
+impl ListenArgs {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgsError> {
+        let mut parsed = Self {
+            addr: DEFAULT_ADDR.to_string(),
+            cache_dir: None,
+            mem_cells: 4096,
+            config: ServeConfig::default(),
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let args = &mut args;
+            match flag.as_str() {
+                "--help" => return Err(ArgsError::Help),
+                "--addr" => parsed.addr = flag_value(args, &flag)?,
+                "--cache-dir" => parsed.cache_dir = Some(flag_value(args, &flag)?.into()),
+                "--mem-cells" => parsed.mem_cells = flag_number(args, &flag)?,
+                "--read-timeout" => parsed.config.read_timeout = flag_seconds(args, &flag)?,
+                "--write-timeout" => parsed.config.write_timeout = flag_seconds(args, &flag)?,
+                "--max-inflight" => parsed.config.max_inflight = flag_number(args, &flag)?,
+                "--allow-shutdown" => parsed.config.allow_shutdown = true,
+                _ => return Err(unknown(&flag)),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// `serve query`'s arguments; a spec of `None` or `-` reads stdin.
+#[derive(Debug, PartialEq, Eq)]
+struct QueryArgs {
+    addr: String,
+    timeout: Option<Duration>,
+    retries: u32,
+    spec: Option<String>,
+}
+
+impl QueryArgs {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgsError> {
+        let mut parsed = Self {
+            addr: DEFAULT_ADDR.to_string(),
+            timeout: Some(Duration::from_secs(30)),
+            retries: 2,
+            spec: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let args = &mut args;
+            match arg.as_str() {
+                "--help" => return Err(ArgsError::Help),
+                "--addr" => parsed.addr = flag_value(args, &arg)?,
+                "--timeout" => parsed.timeout = flag_seconds(args, &arg)?,
+                "--retries" => parsed.retries = flag_number(args, &arg)?,
+                _ if arg.starts_with("--") || parsed.spec.is_some() => return Err(unknown(&arg)),
+                _ => parsed.spec = Some(arg),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// `serve merge`'s arguments.
+#[derive(Debug, PartialEq, Eq)]
+struct MergeArgs {
+    out: String,
+    inputs: Vec<String>,
+}
+
+impl MergeArgs {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgsError> {
+        let mut parsed = Self {
+            out: "-".to_string(),
+            inputs: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let args = &mut args;
+            match arg.as_str() {
+                "--help" => return Err(ArgsError::Help),
+                "--out" => parsed.out = flag_value(args, &arg)?,
+                _ if arg.starts_with("--") => return Err(unknown(&arg)),
+                _ => parsed.inputs.push(arg),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+fn listen(args: ListenArgs) -> i32 {
+    let ListenArgs {
+        addr,
+        cache_dir,
+        mem_cells,
+        config,
+    } = args;
     // Metrics on by default: the /v1/metrics endpoint is the only place
     // cache/coalescing evidence surfaces (never in response bodies), so
     // a server without metrics would be flying blind.
@@ -119,25 +264,8 @@ fn listen(args: &[String]) -> i32 {
     0
 }
 
-fn query(args: &[String]) -> i32 {
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8787".to_string());
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") {
-                    skip_next = true;
-                    return false;
-                }
-                true
-            })
-            .collect()
-    };
-    let spec = match positional.first().map(|s| s.as_str()) {
+fn query(args: QueryArgs) -> i32 {
+    let spec = match args.spec.as_deref() {
         None | Some("-") => {
             let mut text = String::new();
             if let Err(e) = std::io::stdin().read_to_string(&mut text) {
@@ -154,17 +282,13 @@ fn query(args: &[String]) -> i32 {
             }
         },
     };
-    let timeout = timeout_flag(args, "--timeout", Some(Duration::from_secs(30)));
-    let retries: u32 = flag_value(args, "--retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
 
     let mut attempt = 0u32;
     loop {
-        match query_once(&addr, &spec, timeout) {
+        match query_once(&args.addr, &spec, args.timeout) {
             QueryOutcome::Done(code) => return code,
             QueryOutcome::Retryable(reason) => {
-                if attempt >= retries {
+                if attempt >= args.retries {
                     eprintln!("{reason} (giving up after {} attempts)", attempt + 1);
                     return 1;
                 }
@@ -251,24 +375,8 @@ fn query_once(addr: &str, spec: &str, timeout: Option<Duration>) -> QueryOutcome
     }
 }
 
-fn merge(args: &[String]) -> i32 {
-    let out = flag_value(args, "--out").unwrap_or_else(|| "-".to_string());
-    let inputs: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") {
-                    skip_next = true;
-                    return false;
-                }
-                true
-            })
-            .collect()
-    };
+fn merge(args: MergeArgs) -> i32 {
+    let MergeArgs { out, inputs } = args;
     let mut texts = Vec::with_capacity(inputs.len());
     for path in &inputs {
         match std::fs::read_to_string(path) {
@@ -295,5 +403,134 @@ fn merge(args: &[String]) -> i32 {
             eprintln!("merge failed: {message}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn invalid(message: &str) -> ArgsError {
+        ArgsError::Invalid(message.to_string())
+    }
+
+    #[test]
+    fn listen_flags_are_strict() {
+        let parse = |args: &[&str]| ListenArgs::parse(strings(args));
+        let args = parse(&[
+            "--addr",
+            "127.0.0.1:0",
+            "--allow-shutdown",
+            "--mem-cells",
+            "256",
+            "--cache-dir",
+            "cells",
+            "--read-timeout",
+            "0",
+            "--write-timeout",
+            "5",
+            "--max-inflight",
+            "3",
+        ])
+        .unwrap();
+        assert_eq!(args.addr, "127.0.0.1:0");
+        assert_eq!(args.mem_cells, 256);
+        assert_eq!(args.cache_dir, Some(PathBuf::from("cells")));
+        assert_eq!(args.config.read_timeout, None, "0 disables the deadline");
+        assert_eq!(args.config.write_timeout, Some(Duration::from_secs(5)));
+        assert_eq!(args.config.max_inflight, 3);
+        assert!(args.config.allow_shutdown);
+
+        let defaults = parse(&[]).unwrap();
+        let config = ServeConfig::default();
+        assert_eq!(defaults.addr, DEFAULT_ADDR);
+        assert_eq!(defaults.mem_cells, 4096);
+        assert_eq!(defaults.cache_dir, None);
+        assert_eq!(defaults.config.read_timeout, config.read_timeout);
+        assert_eq!(defaults.config.write_timeout, config.write_timeout);
+        assert_eq!(defaults.config.max_inflight, config.max_inflight);
+        assert!(!defaults.config.allow_shutdown);
+
+        for (args, problem) in [
+            (
+                &["--mem-cells", "abc"][..],
+                "--mem-cells expects a number, got \"abc\"",
+            ),
+            (
+                &["--max-inflight", "many"],
+                "--max-inflight expects a number, got \"many\"",
+            ),
+            (
+                &["--read-timeout", "-1"],
+                "--read-timeout expects a number, got \"-1\"",
+            ),
+            (&["--write-timeout"], "--write-timeout needs a value"),
+            (&["--mem-cell", "256"], "unknown argument \"--mem-cell\""),
+            (&["stray"], "unknown argument \"stray\""),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), invalid(problem), "{args:?}");
+        }
+        assert_eq!(
+            parse(&["--mem-cells", "8", "--help"]).unwrap_err(),
+            ArgsError::Help
+        );
+    }
+
+    #[test]
+    fn query_flags_are_strict() {
+        let parse = |args: &[&str]| QueryArgs::parse(strings(args));
+        assert_eq!(
+            parse(&["--addr", "127.0.0.1:8791", "--retries", "8", "spec.json"]),
+            Ok(QueryArgs {
+                addr: "127.0.0.1:8791".to_string(),
+                timeout: Some(Duration::from_secs(30)),
+                retries: 8,
+                spec: Some("spec.json".to_string()),
+            })
+        );
+        let stdin = parse(&["--timeout", "0", "-"]).unwrap();
+        assert_eq!(stdin.spec.as_deref(), Some("-"));
+        assert_eq!(stdin.timeout, None, "0 disables the deadline");
+        assert_eq!(parse(&[]).unwrap().retries, 2);
+        for (args, problem) in [
+            (
+                &["--retries", "x"][..],
+                "--retries expects a number, got \"x\"",
+            ),
+            (
+                &["--timeout", "soon"],
+                "--timeout expects a number, got \"soon\"",
+            ),
+            (&["--retry", "3"], "unknown argument \"--retry\""),
+            (&["a.json", "b.json"], "unknown argument \"b.json\""),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), invalid(problem), "{args:?}");
+        }
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+    }
+
+    #[test]
+    fn merge_flags_are_strict() {
+        let parse = |args: &[&str]| MergeArgs::parse(strings(args));
+        assert_eq!(
+            parse(&["--out", "merged.json", "shard1.json", "shard0.json"]),
+            Ok(MergeArgs {
+                out: "merged.json".to_string(),
+                inputs: strings(&["shard1.json", "shard0.json"]),
+            })
+        );
+        assert_eq!(parse(&["a.json"]).unwrap().out, "-");
+        assert_eq!(
+            parse(&["--out"]).unwrap_err(),
+            invalid("--out needs a value")
+        );
+        assert_eq!(
+            parse(&["--outfile", "x", "a.json"]).unwrap_err(),
+            invalid("unknown argument \"--outfile\"")
+        );
     }
 }

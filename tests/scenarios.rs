@@ -43,7 +43,7 @@ fn every_scenario_has_certified_tube() {
     for instance in instances() {
         let tube = instance
             .tube()
-            .unwrap_or_else(|| panic!("{} attached no tube", instance.name()));
+            .unwrap_or_else(|e| panic!("{} derived no tube: {e}", instance.name()));
         assert_eq!(
             tube.set().dim(),
             instance.sets().plant().system().state_dim(),
