@@ -9,11 +9,14 @@
 //! * [`LinearProgram`] — a multi-backend simplex. The default engine is a
 //!   dense, two-phase primal tableau with Bland's rule as an anti-cycling
 //!   fallback (the bit-stable reference every committed baseline is
-//!   recorded against); a **revised** simplex (a basis factored through
-//!   its unit columns + product-form eta file, primal and dual
-//!   iterations) serves warm-started resolve sequences via
+//!   recorded against); a **revised** simplex over the standard form
+//!   stored by its nonzeros (a basis factored through its unit columns
+//!   with a sparse coupling block, a product-form eta file, primal and
+//!   dual iterations) serves warm-started resolve sequences via
 //!   [`LinearProgram::solve_warm`] — see [`Backend`] for the selection
-//!   rules. Variables are **free by
+//!   rules. Its sparse passes skip only exact zeros, in the dense
+//!   accumulation order, so they pivot exactly as a dense sweep would.
+//!   Variables are **free by
 //!   default** (the geometry code works with unconstrained coordinates);
 //!   bounds and equality/inequality constraints are added explicitly.
 //! * [`MixedIntegerProgram`] — best-first branch-and-bound over binary

@@ -2,9 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::revised::{
-    solve_revised, solve_revised_warm, unit_columns, UnitColumn, WarmCarry, WarmOutcome,
-};
+use crate::revised::{solve_revised, solve_revised_warm, SparseMatrix, WarmCarry, WarmOutcome};
 use crate::simplex::{solve_standard, StandardForm, StandardSolution};
 use crate::LpError;
 
@@ -126,8 +124,8 @@ impl WarmStart {
         self.pivots
     }
 
-    /// Why the most recent fallback happened (`"singular-basis"` or
-    /// `"not-restorable"`), if any occurred.
+    /// Why the most recent fallback happened (`"singular-basis"`,
+    /// `"not-restorable"` or `"numerical-trouble"`), if any occurred.
     pub fn last_fallback_reason(&self) -> Option<&'static str> {
         self.last_fallback_reason
     }
@@ -167,9 +165,8 @@ struct Standardized {
 /// `b` and `c` vectors are reassembled per solve.
 #[derive(Debug)]
 struct CompiledForm {
-    rows: Vec<Vec<f64>>,
-    /// Unit structure of the columns of `rows`.
-    units: Vec<UnitColumn>,
+    /// The constraint matrix, by its nonzeros.
+    a: SparseMatrix,
     var_map: Vec<VarMap>,
     total: usize,
     /// Per user constraint: row orientation (−1 for `Ge` rows).
@@ -185,7 +182,7 @@ impl CompiledForm {
     /// overridden) user RHS values — the only per-solve work besides the
     /// cost vector.
     fn rhs_vector(&self, lp: &LinearProgram, rhs_override: Option<&[f64]>) -> Vec<f64> {
-        let mut b = Vec::with_capacity(self.rows.len());
+        let mut b = Vec::with_capacity(self.a.num_rows());
         for (i, c) in lp.constraints.iter().enumerate() {
             let user = rhs_override.map_or(c.rhs, |r| r[i]);
             let mut rhs = user - self.constant[i];
@@ -708,10 +705,8 @@ impl LinearProgram {
             constant.push(k);
         }
         let range_rhs = std.sf.b[nc..].to_vec();
-        let units = unit_columns(&std.sf.a, std.total);
         Ok(CompiledForm {
-            rows: std.sf.a,
-            units,
+            a: SparseMatrix::from_dense(&std.sf.a, std.total),
             var_map: std.var_map,
             total: std.total,
             sign,
@@ -849,10 +844,10 @@ impl LinearProgram {
                 last_fallback_reason,
                 ..
             } = warm;
-            if !carry.is_empty() && carry.basis.len() == compiled.rows.len() {
+            if !carry.is_empty() && carry.basis.len() == compiled.a.num_rows() {
                 let b = compiled.rhs_vector(self, rhs_override);
                 let (c_std, obj_constant) = compiled.cost_vector(self);
-                match solve_revised_warm(&compiled.rows, &compiled.units, &b, &c_std, carry) {
+                match solve_revised_warm(&compiled.a, &b, &c_std, carry) {
                     WarmOutcome::Solved(sol) => {
                         *warm_hits += 1;
                         *pivots += sol.iters as u64;

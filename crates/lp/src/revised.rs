@@ -3,6 +3,7 @@
 //! Where the dense tableau (see [`crate::simplex`]) carries the full
 //! `(m+1) × (n+1)` matrix through every pivot, this engine keeps only
 //!
+//! * the constraint matrix by its nonzeros ([`SparseMatrix`]),
 //! * a factorization of the **basis matrix** `B₀` taken through its unit
 //!   columns (see [`UnitLu`]), rebuilt every [`REFACTOR_LIMIT`] pivots and
 //!   at the start of every solve, and
@@ -44,26 +45,101 @@ const DUAL_TOL: f64 = 1e-7;
 
 /// `(row, value)` of a column with exactly one nonzero entry — every slack
 /// (`±1`) and any structural column that touches a single row.
-pub(crate) type UnitColumn = Option<(usize, f64)>;
+type UnitColumn = Option<(usize, f64)>;
 
-/// The unit structure of the `n` columns of the row-major matrix `a`.
-pub(crate) fn unit_columns(a: &[Vec<f64>], n: usize) -> Vec<UnitColumn> {
-    let mut units: Vec<UnitColumn> = vec![None; n];
-    let mut nonzeros = vec![0usize; n];
-    for (i, row) in a.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                nonzeros[j] += 1;
-                units[j] = Some((i, v));
+/// Lines (rows or columns) of a matrix by their nonzeros: line `l` is
+/// `entries[start[l]..start[l + 1]]`, `(index, value)` ascending in index.
+#[derive(Debug, Clone)]
+struct Lines {
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Lines {
+    fn line(&self, l: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[l]..self.start[l + 1]]
+    }
+}
+
+/// A standard-form constraint matrix stored by its nonzeros, both by row
+/// (pricing and tableau rows) and by column (entering columns and the
+/// basis factor).
+///
+/// Every pass over it visits its terms in the order a dense sweep would
+/// and skips only exact zeros, so every nonzero value it produces is the
+/// dense one bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseMatrix {
+    rows: Lines,
+    cols: Lines,
+}
+
+impl SparseMatrix {
+    /// The nonzeros of the row-major `a` with `n` columns.
+    pub(crate) fn from_dense(a: &[Vec<f64>], n: usize) -> Self {
+        let mut row_start = Vec::with_capacity(a.len() + 1);
+        row_start.push(0);
+        let mut row_entries = Vec::new();
+        let mut col_start = vec![0usize; n + 1];
+        for row in a {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    row_entries.push((j, v));
+                    col_start[j + 1] += 1;
+                }
+            }
+            row_start.push(row_entries.len());
+        }
+        for j in 0..n {
+            col_start[j + 1] += col_start[j];
+        }
+        // Scattering the rows in ascending order keeps every column
+        // ascending in its row index.
+        let mut next = col_start[..n].to_vec();
+        let mut col_entries = vec![(0, 0.0); row_entries.len()];
+        for i in 0..a.len() {
+            for &(j, v) in &row_entries[row_start[i]..row_start[i + 1]] {
+                col_entries[next[j]] = (i, v);
+                next[j] += 1;
             }
         }
-    }
-    for (unit, &count) in units.iter_mut().zip(&nonzeros) {
-        if count != 1 {
-            *unit = None;
+        Self {
+            rows: Lines {
+                start: row_start,
+                entries: row_entries,
+            },
+            cols: Lines {
+                start: col_start,
+                entries: col_entries,
+            },
         }
     }
-    units
+
+    pub(crate) fn num_rows(&self) -> usize {
+        self.rows.start.len() - 1
+    }
+
+    fn num_cols(&self) -> usize {
+        self.cols.start.len() - 1
+    }
+
+    /// The `(column, value)` nonzeros of row `i`, ascending.
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        self.rows.line(i)
+    }
+
+    /// The `(row, value)` nonzeros of column `j`, ascending.
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        self.cols.line(j)
+    }
+
+    /// Column `j`'s one nonzero, when it has exactly one.
+    fn unit(&self, j: usize) -> UnitColumn {
+        match *self.col(j) {
+            [entry] => Some(entry),
+            _ => None,
+        }
+    }
 }
 
 /// Why a warm-started solve could not run; the caller must fall back to a
@@ -121,15 +197,17 @@ struct Eta {
 /// with `D` diagonal. FTRAN is then one `k × k` LU solve on `S` plus one
 /// back-substitution per covered row, and BTRAN mirrors it, where `k` is
 /// the number of non-unit basic columns (at most 38 for the ACC tube MPC,
-/// against `m = 168` rows).
+/// against `m = 168` rows). The coupling block `C` is kept by its
+/// nonzeros (~830 of acc's 130 × 38), so neither solve reads a zero of it.
 #[derive(Debug, Clone)]
 struct UnitLu {
     /// `(basis position, row, value)` of every unit basic column.
     units: Vec<(usize, usize, f64)>,
+    /// The nonzeros of `C`, line `u` for unit `u`, as `(kernel index t,
+    /// value)` ascending in `t`.
+    coupling: Lines,
     /// Basis positions of the non-unit basic columns.
     kernel_pos: Vec<usize>,
-    /// Column indices of the non-unit basic columns (all structural).
-    kernel_col: Vec<usize>,
     /// The rows no unit column covers, ascending.
     kernel_rows: Vec<usize>,
     /// LU of `S = B₀[kernel_rows, kernel_pos]`; `None` when `k = 0`.
@@ -141,35 +219,33 @@ struct UnitLu {
 
 impl UnitLu {
     /// Factors the basis `basis` of the working matrix: structural and
-    /// slack column `j < n` is column `j` of `a` with unit structure
-    /// `units[j]`, artificial column `n + t` is the unit vector on row
-    /// `art_rows[t]`.
+    /// slack column `j < n` is column `j` of `a`, artificial column `n + t`
+    /// is the unit vector on row `art_rows[t]`.
     ///
     /// Two unit columns on one row, or a singular `S`, make the basis
     /// singular.
-    fn new(
-        a: &[Vec<f64>],
-        units: &[UnitColumn],
-        art_rows: &[usize],
-        basis: &[usize],
-    ) -> Result<Self, WarmFailure> {
-        let n = units.len();
-        let mut covered = vec![false; basis.len()];
-        let mut unit_entries = Vec::with_capacity(basis.len());
+    fn new(a: &SparseMatrix, art_rows: &[usize], basis: &[usize]) -> Result<Self, WarmFailure> {
+        let n = a.num_cols();
+        let m = basis.len();
+        // `slot[i]`: `u` for the row unit `u` covers, `units.len() + r`
+        // for the `r`-th uncovered row.
+        let mut slot = vec![usize::MAX; m];
+        let mut units = Vec::with_capacity(m);
         let mut kernel_pos = Vec::new();
         let mut kernel_col = Vec::new();
         for (pos, &j) in basis.iter().enumerate() {
             let unit = if j < n {
-                units[j]
+                a.unit(j)
             } else {
                 Some((art_rows[j - n], 1.0))
             };
             match unit {
                 Some((row, value)) => {
-                    if std::mem::replace(&mut covered[row], true) {
+                    if slot[row] != usize::MAX {
                         return Err(WarmFailure::SingularBasis);
                     }
-                    unit_entries.push((pos, row, value));
+                    slot[row] = units.len();
+                    units.push((pos, row, value));
                 }
                 None => {
                     kernel_pos.push(pos);
@@ -177,23 +253,50 @@ impl UnitLu {
                 }
             }
         }
-        let kernel_rows: Vec<usize> = (0..basis.len()).filter(|&i| !covered[i]).collect();
+        let kernel_rows: Vec<usize> = (0..m).filter(|&i| slot[i] == usize::MAX).collect();
+        let nu = units.len();
+        for (r, &i) in kernel_rows.iter().enumerate() {
+            slot[i] = nu + r;
+        }
+        // One pass over the kernel columns fills `S` and counts `C`'s
+        // nonzeros per unit; a second scatters them, ascending in `t`.
         let k = kernel_col.len();
+        let mut s = vec![0.0; k * k];
+        let mut start = vec![0usize; nu + 1];
+        for (t, &j) in kernel_col.iter().enumerate() {
+            for &(i, v) in a.col(j) {
+                let u = slot[i];
+                if u < nu {
+                    start[u + 1] += 1;
+                } else {
+                    s[(u - nu) * k + t] = v;
+                }
+            }
+        }
+        for u in 0..nu {
+            start[u + 1] += start[u];
+        }
+        let mut next = start[..nu].to_vec();
+        let mut entries = vec![(0, 0.0); start[nu]];
+        for (t, &j) in kernel_col.iter().enumerate() {
+            for &(i, v) in a.col(j) {
+                let u = slot[i];
+                if u < nu {
+                    entries[next[u]] = (t, v);
+                    next[u] += 1;
+                }
+            }
+        }
         let lu = if k == 0 {
             None
         } else {
-            let mut s = Matrix::zeros(k, k);
-            for (r, &i) in kernel_rows.iter().enumerate() {
-                for (t, &j) in kernel_col.iter().enumerate() {
-                    s[(r, t)] = a[i][j];
-                }
-            }
+            let s = Matrix::from_vec(k, k, s);
             Some(LuDecomposition::new(&s).map_err(|_| WarmFailure::SingularBasis)?)
         };
         Ok(Self {
-            units: unit_entries,
+            units,
+            coupling: Lines { start, entries },
             kernel_pos,
-            kernel_col,
             kernel_rows,
             lu,
             rhs: vec![0.0; k],
@@ -202,7 +305,7 @@ impl UnitLu {
     }
 
     /// Solves `B₀ x = v` into `out` (indexed by basis position).
-    fn ftran(&mut self, a: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
+    fn ftran(&mut self, v: &[f64], out: &mut [f64]) {
         if let Some(lu) = &self.lu {
             for (r, &i) in self.rhs.iter_mut().zip(&self.kernel_rows) {
                 *r = v[i];
@@ -212,36 +315,33 @@ impl UnitLu {
                 out[pos] = x;
             }
         }
-        for &(pos, row, value) in &self.units {
-            let a_row = &a[row];
+        for (u, &(pos, row, value)) in self.units.iter().enumerate() {
             let mut acc = v[row];
-            for (&j, &x) in self.kernel_col.iter().zip(&self.sol) {
-                acc -= a_row[j] * x;
+            for &(t, c) in self.coupling.line(u) {
+                acc -= c * self.sol[t];
             }
             out[pos] = acc / value;
         }
     }
 
     /// Solves `B₀ᵀ y = c` (`c` indexed by basis position) into `out`.
-    fn btran(&mut self, a: &[Vec<f64>], c: &[f64], out: &mut [f64]) {
+    fn btran(&mut self, c: &[f64], out: &mut [f64]) {
         for &(pos, row, value) in &self.units {
             out[row] = c[pos] / value;
         }
         if let Some(lu) = &self.lu {
-            for ((r, &pos), &j) in self
-                .rhs
-                .iter_mut()
-                .zip(&self.kernel_pos)
-                .zip(&self.kernel_col)
-            {
-                let mut acc = c[pos];
-                for &(_, row, _) in &self.units {
-                    let y = out[row];
-                    if y != 0.0 {
-                        acc -= a[row][j] * y;
+            for (r, &pos) in self.rhs.iter_mut().zip(&self.kernel_pos) {
+                *r = c[pos];
+            }
+            // Unit by unit, so each kernel entry subtracts its terms in
+            // unit order.
+            for (u, &(_, row, _)) in self.units.iter().enumerate() {
+                let y = out[row];
+                if y != 0.0 {
+                    for &(t, cu) in self.coupling.line(u) {
+                        self.rhs[t] -= cu * y;
                     }
                 }
-                *r = acc;
             }
             lu.solve_transposed_into(&self.rhs, &mut self.sol);
             for (&i, &y) in self.kernel_rows.iter().zip(&self.sol) {
@@ -283,8 +383,8 @@ impl WarmCarry {
 
 impl BasisFactor {
     /// FTRAN: computes `B⁻¹ v` into `out`.
-    fn ftran(&mut self, a: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
-        self.lu.ftran(a, v, out);
+    fn ftran(&mut self, v: &[f64], out: &mut [f64]) {
+        self.lu.ftran(v, out);
         for eta in &self.etas {
             let t = out[eta.pos] / eta.col[eta.pos];
             for (o, c) in out.iter_mut().zip(&eta.col) {
@@ -295,7 +395,7 @@ impl BasisFactor {
     }
 
     /// BTRAN: computes `B⁻ᵀ c` into `out` (`scratch` must be `m` long).
-    fn btran(&mut self, a: &[Vec<f64>], c: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    fn btran(&mut self, c: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         scratch.copy_from_slice(c);
         for eta in self.etas.iter().rev() {
             let mut acc = scratch[eta.pos];
@@ -306,29 +406,28 @@ impl BasisFactor {
             }
             scratch[eta.pos] = acc / eta.col[eta.pos];
         }
-        self.lu.btran(a, scratch, out);
+        self.lu.btran(scratch, out);
     }
 }
 
 /// Writes column `j` of the working matrix into `out`: structural/slack
 /// columns come from `a`, artificial column `n + k` is the unit vector on
 /// row `art_rows[k]`.
-fn column_into(a: &[Vec<f64>], n: usize, art_rows: &[usize], j: usize, out: &mut [f64]) {
+fn column_into(a: &SparseMatrix, art_rows: &[usize], j: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    let n = a.num_cols();
     if j < n {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = a[i][j];
+        for &(i, v) in a.col(j) {
+            out[i] = v;
         }
     } else {
-        out.fill(0.0);
         out[art_rows[j - n]] = 1.0;
     }
 }
 
 /// The revised simplex state over one standard-form problem.
 struct Revised<'a> {
-    a: &'a [Vec<f64>],
-    /// Unit structure of the columns of `a`.
-    units: &'a [UnitColumn],
+    a: &'a SparseMatrix,
     b: &'a [f64],
     m: usize,
     n: usize,
@@ -355,14 +454,13 @@ struct Revised<'a> {
 impl<'a> Revised<'a> {
     /// Creates the state from an initial basis; fails if `B` is singular.
     fn new(
-        a: &'a [Vec<f64>],
-        units: &'a [UnitColumn],
+        a: &'a SparseMatrix,
         b: &'a [f64],
         basis: Vec<usize>,
         art_rows: Vec<usize>,
     ) -> Result<Self, WarmFailure> {
         let m = b.len();
-        let n = units.len();
+        let n = a.num_cols();
         debug_assert_eq!(basis.len(), m);
         let mut in_basis = vec![false; n];
         for &j in &basis {
@@ -371,12 +469,11 @@ impl<'a> Revised<'a> {
             }
         }
         let factor = BasisFactor {
-            lu: UnitLu::new(a, units, &art_rows, &basis)?,
+            lu: UnitLu::new(a, &art_rows, &basis)?,
             etas: Vec::new(),
         };
         let mut state = Self {
             a,
-            units,
             b,
             m,
             n,
@@ -393,7 +490,7 @@ impl<'a> Revised<'a> {
             row_prod: vec![0.0; n],
             iters: 0,
         };
-        state.factor.ftran(a, b, &mut state.x_b);
+        state.factor.ftran(b, &mut state.x_b);
         Ok(state)
     }
 
@@ -401,8 +498,8 @@ impl<'a> Revised<'a> {
     fn refactorize(&mut self) -> Result<(), WarmFailure> {
         oic_obs::counter!("lp.refactorizations", "count").incr();
         self.factor.etas.clear();
-        self.factor.lu = UnitLu::new(self.a, self.units, &self.art_rows, &self.basis)?;
-        self.factor.ftran(self.a, self.b, &mut self.x_b);
+        self.factor.lu = UnitLu::new(self.a, &self.art_rows, &self.basis)?;
+        self.factor.ftran(self.b, &mut self.x_b);
         Ok(())
     }
 
@@ -441,42 +538,59 @@ impl<'a> Revised<'a> {
             self.col_buf[k] = if j < self.n { costs[j] } else { art_cost };
         }
         let Self {
-            a,
             factor,
             col_buf,
             y,
             scratch,
             ..
         } = self;
-        factor.btran(a, col_buf, y, scratch);
+        factor.btran(col_buf, y, scratch);
     }
 
     /// Fills `self.red_costs` with all structural reduced costs
-    /// `d = c − Aᵀy` in one row-major pass (contiguous accesses — the
-    /// per-column strided variant dominated the pricing cost).
+    /// `d = c − Aᵀy`, row by row over the rows with `yᵢ ≠ 0` (each `dⱼ`
+    /// subtracts its terms in ascending row order).
     fn reduced_costs_all(&mut self, costs: &[f64]) {
         self.red_costs.copy_from_slice(costs);
-        for (yi, row) in self.y.iter().zip(self.a) {
-            if *yi == 0.0 {
+        for (i, &yi) in self.y.iter().enumerate() {
+            if yi == 0.0 {
                 continue;
             }
-            for (d, aij) in self.red_costs.iter_mut().zip(row) {
-                *d -= yi * aij;
+            for &(j, aij) in self.a.row(i) {
+                self.red_costs[j] -= yi * aij;
+            }
+        }
+    }
+
+    /// Fills `self.row_prod` with row `r` of `B⁻¹A`: `ρ_j = (B⁻ᵀe_r)·A_j`,
+    /// row by row over the rows with `(B⁻ᵀe_r)ᵢ ≠ 0` (`self.dir` holds
+    /// `B⁻ᵀe_r` afterwards).
+    fn tableau_row(&mut self, r: usize) {
+        self.col_buf.fill(0.0);
+        self.col_buf[r] = 1.0;
+        let Self {
+            factor,
+            col_buf,
+            dir,
+            scratch,
+            ..
+        } = self;
+        factor.btran(col_buf, dir, scratch);
+        self.row_prod.fill(0.0);
+        for (i, &vi) in self.dir.iter().enumerate() {
+            if vi == 0.0 {
+                continue;
+            }
+            for &(j, aij) in self.a.row(i) {
+                self.row_prod[j] += vi * aij;
             }
         }
     }
 
     /// FTRANs structural/artificial column `q` into `self.dir`.
     fn ftran_column(&mut self, q: usize) {
-        column_into(self.a, self.n, &self.art_rows, q, &mut self.col_buf);
-        let Self {
-            a,
-            factor,
-            col_buf,
-            dir,
-            ..
-        } = self;
-        factor.ftran(a, col_buf, dir);
+        column_into(self.a, &self.art_rows, q, &mut self.col_buf);
+        self.factor.ftran(&self.col_buf, &mut self.dir);
     }
 
     /// Primal simplex loop on the given costs over structural columns.
@@ -570,28 +684,7 @@ impl<'a> Revised<'a> {
             let Some(r) = leaving else {
                 return Ok(());
             };
-            // Row r of B⁻¹A: ρ_j = (B⁻ᵀ e_r)·A_j, accumulated row-major.
-            self.col_buf.fill(0.0);
-            self.col_buf[r] = 1.0;
-            let Self {
-                a,
-                factor,
-                col_buf,
-                dir,
-                scratch,
-                row_prod,
-                ..
-            } = self;
-            factor.btran(a, col_buf, dir, scratch); // `dir` holds B⁻ᵀe_r here
-            row_prod.fill(0.0);
-            for (vi, row) in dir.iter().zip(a.iter()) {
-                if *vi == 0.0 {
-                    continue;
-                }
-                for (o, aij) in row_prod.iter_mut().zip(row) {
-                    *o += vi * aij;
-                }
-            }
+            self.tableau_row(r);
             let mut entering: Option<(usize, f64)> = None;
             for j in 0..self.n {
                 if self.in_basis[j] {
@@ -688,9 +781,9 @@ pub(crate) fn solve_revised(
         }
     }
     let has_artificials = !art_rows.is_empty();
-    let units = unit_columns(&sf.a, n);
+    let a = SparseMatrix::from_dense(&sf.a, n);
     let mut state =
-        Revised::new(&sf.a, &units, &sf.b, basis, art_rows).map_err(|_| LpError::IterationLimit)?;
+        Revised::new(&a, &sf.b, basis, art_rows).map_err(|_| LpError::IterationLimit)?;
 
     if has_artificials {
         // ---- Phase 1: minimize the sum of artificials. ----
@@ -716,29 +809,7 @@ pub(crate) fn solve_revised(
             if state.basis[r] < n {
                 continue;
             }
-            state.col_buf.fill(0.0);
-            state.col_buf[r] = 1.0;
-            {
-                let Revised {
-                    a,
-                    factor,
-                    col_buf,
-                    dir,
-                    scratch,
-                    row_prod,
-                    ..
-                } = &mut state;
-                factor.btran(a, col_buf, dir, scratch);
-                row_prod.fill(0.0);
-                for (vi, row) in dir.iter().zip(a.iter()) {
-                    if *vi == 0.0 {
-                        continue;
-                    }
-                    for (o, aij) in row_prod.iter_mut().zip(row) {
-                        *o += vi * aij;
-                    }
-                }
-            }
+            state.tableau_row(r);
             let candidate = (0..n).find(|&j| !state.in_basis[j] && state.row_prod[j].abs() > EPS);
             if let Some(j) = candidate {
                 state.ftran_column(j);
@@ -765,10 +836,8 @@ pub(crate) fn solve_revised(
 /// * **dual** pivots when it is still dual feasible (RHS changed, e.g. the
 ///   templated tube-MPC resolve), followed by a primal clean-up pass.
 ///
-/// `units` is the unit structure of `a`'s columns ([`unit_columns`]).
 pub(crate) fn solve_revised_warm(
-    a: &[Vec<f64>],
-    units: &[UnitColumn],
+    a: &SparseMatrix,
     b: &[f64],
     c: &[f64],
     carry: &mut WarmCarry,
@@ -789,9 +858,9 @@ pub(crate) fn solve_revised_warm(
     if carry.basis.len() != m || carry.basis.iter().any(|&j| j >= n) {
         return WarmOutcome::Fallback(WarmFailure::NotRestorable);
     }
-    debug_assert_eq!(units.len(), n);
+    debug_assert_eq!(a.num_cols(), n);
     let basis = std::mem::take(&mut carry.basis);
-    let mut state = match Revised::new(a, units, b, basis, Vec::new()) {
+    let mut state = match Revised::new(a, b, basis, Vec::new()) {
         Ok(s) => s,
         Err(f) => return WarmOutcome::Fallback(f),
     };
@@ -869,10 +938,9 @@ mod tests {
         carry
     }
 
-    /// [`solve_revised_warm`] with the unit structure computed from `a`.
+    /// [`solve_revised_warm`] over the sparse form of `a`.
     fn warm_solve(a: &[Vec<f64>], b: &[f64], c: &[f64], carry: &mut WarmCarry) -> WarmOutcome {
-        let units = unit_columns(a, c.len());
-        solve_revised_warm(a, &units, b, c, carry)
+        solve_revised_warm(&SparseMatrix::from_dense(a, c.len()), b, c, carry)
     }
 
     /// min -x1 - x2 s.t. x1 + 2x2 + s1 = 4; 3x1 + x2 + s2 = 6; all ≥ 0.
@@ -1095,8 +1163,7 @@ mod tests {
     /// `UnitLu` over the working matrix `a` (plus artificials on
     /// `art_rows`) for `basis`.
     fn unit_lu(a: &[Vec<f64>], art_rows: &[usize], basis: &[usize]) -> Result<UnitLu, WarmFailure> {
-        let units = unit_columns(a, a[0].len());
-        UnitLu::new(a, &units, art_rows, basis)
+        UnitLu::new(&SparseMatrix::from_dense(a, a[0].len()), art_rows, basis)
     }
 
     #[test]
@@ -1129,97 +1196,255 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn sparse_matrix_keeps_rows_and_columns_ascending() {
+        let a = vec![
+            vec![0.0, 2.0, 0.0, -0.0],
+            vec![1.0, 0.0, 3.0, 0.0],
+            vec![4.0, 5.0, 0.0, 0.0],
+        ];
+        let sparse = SparseMatrix::from_dense(&a, 4);
+        assert_eq!(sparse.num_rows(), 3);
+        assert_eq!(sparse.num_cols(), 4);
+        assert_eq!(sparse.row(1), &[(0, 1.0), (2, 3.0)]);
+        assert_eq!(sparse.col(0), &[(1, 1.0), (2, 4.0)]);
+        assert_eq!(sparse.col(3), &[], "a negative zero is a zero");
+        assert_eq!(sparse.unit(2), Some((1, 3.0)));
+        assert_eq!(sparse.unit(1), None);
+    }
+
+    /// The unit structure of the `n` columns of the row-major matrix `a`
+    /// by a dense scan: the oracle for [`SparseMatrix::unit`].
+    fn unit_columns(a: &[Vec<f64>], n: usize) -> Vec<UnitColumn> {
+        let mut units: Vec<UnitColumn> = vec![None; n];
+        let mut nonzeros = vec![0usize; n];
+        for (i, row) in a.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    nonzeros[j] += 1;
+                    units[j] = Some((i, v));
+                }
+            }
+        }
+        for (unit, &count) in units.iter_mut().zip(&nonzeros) {
+            if count != 1 {
+                *unit = None;
+            }
+        }
+        units
+    }
+
+    /// FTRAN through `factor` with the coupling block read from the dense
+    /// `a` over every unit × kernel column: the oracle for
+    /// [`UnitLu::ftran`]. Kernel index `t` is column `basis[kernel_pos[t]]`.
+    fn dense_ftran(
+        factor: &mut UnitLu,
+        a: &[Vec<f64>],
+        basis: &[usize],
+        v: &[f64],
+        out: &mut [f64],
+    ) {
+        if let Some(lu) = &factor.lu {
+            for (r, &i) in factor.rhs.iter_mut().zip(&factor.kernel_rows) {
+                *r = v[i];
+            }
+            lu.solve_into(&factor.rhs, &mut factor.sol);
+            for (&pos, &x) in factor.kernel_pos.iter().zip(&factor.sol) {
+                out[pos] = x;
+            }
+        }
+        for &(pos, row, value) in &factor.units {
+            let a_row = &a[row];
+            let mut acc = v[row];
+            for (&kpos, &x) in factor.kernel_pos.iter().zip(&factor.sol) {
+                acc -= a_row[basis[kpos]] * x;
+            }
+            out[pos] = acc / value;
+        }
+    }
+
+    /// BTRAN through `factor` with the coupling block read from the dense
+    /// `a`: the oracle for [`UnitLu::btran`].
+    fn dense_btran(
+        factor: &mut UnitLu,
+        a: &[Vec<f64>],
+        basis: &[usize],
+        c: &[f64],
+        out: &mut [f64],
+    ) {
+        for &(pos, row, value) in &factor.units {
+            out[row] = c[pos] / value;
+        }
+        if let Some(lu) = &factor.lu {
+            for (r, &pos) in factor.rhs.iter_mut().zip(&factor.kernel_pos) {
+                let j = basis[pos];
+                let mut acc = c[pos];
+                for &(_, row, _) in &factor.units {
+                    let y = out[row];
+                    if y != 0.0 {
+                        acc -= a[row][j] * y;
+                    }
+                }
+                *r = acc;
+            }
+            lu.solve_transposed_into(&factor.rhs, &mut factor.sol);
+            for (&i, &y) in factor.kernel_rows.iter().zip(&factor.sol) {
+                out[i] = y;
+            }
+        }
+    }
+
+    /// Equal bits, or both zero (skipping an exact zero term may flip the
+    /// sign of a zero result, never a nonzero one).
+    fn same_bits(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x == 0.0 && y == 0.0)
+    }
+
     use oic_linalg::Matrix;
     use proptest::prelude::*;
 
-    /// A random basis: per row a kind (0 structural, 1 slack, 2
-    /// artificial), a slack sign, the structural entries, position keys
-    /// for shuffling, and the FTRAN/BTRAN right-hand sides.
-    #[allow(clippy::type_complexity)]
-    fn random_basis() -> impl Strategy<
-        Value = (
-            Vec<usize>,
-            Vec<bool>,
-            Vec<f64>,
-            Vec<f64>,
-            Vec<f64>,
-            Vec<f64>,
-        ),
-    > {
-        (2usize..9).prop_flat_map(|m| {
-            (
-                prop::collection::vec(0usize..3, m),
-                prop::collection::vec(prop::bool::ANY, m),
-                prop::collection::vec(-1.0f64..1.0, m * (m + 1)),
-                prop::collection::vec(0.0f64..1.0, m),
-                prop::collection::vec(-5.0f64..5.0, m),
-                prop::collection::vec(-5.0f64..5.0, m),
-            )
-        })
+    /// A random basis problem: the working matrix, the artificial rows,
+    /// the basis, and the FTRAN/BTRAN right-hand sides.
+    #[derive(Debug)]
+    struct BasisCase {
+        a: Vec<Vec<f64>>,
+        art_rows: Vec<usize>,
+        basis: Vec<usize>,
+        v: Vec<f64>,
+        c: Vec<f64>,
+    }
+
+    /// Random bases with exact zeros. Per row: a kind (0 structural, 1
+    /// slack, 2 artificial) and a slack sign. The matrix has `k + 1`
+    /// structural columns, `k` the number of structural rows: column `t`
+    /// is diagonally dominant on the `t`-th structural row (the last one
+    /// never enters). One `±1` slack per row follows. Off-diagonal
+    /// structural entries and right-hand-side entries are exact zeros
+    /// with probability ½, so some structural columns are unit columns
+    /// and some units carry `y = 0`. Position keys shuffle the basis.
+    fn random_basis() -> impl Strategy<Value = BasisCase> {
+        (2usize..9)
+            .prop_flat_map(|m| {
+                (
+                    (
+                        prop::collection::vec(0usize..3, m),
+                        prop::collection::vec(prop::bool::ANY, m),
+                        prop::collection::vec(0.0f64..1.0, m),
+                    ),
+                    prop::collection::vec(-1.0f64..1.0, m * (m + 1)),
+                    prop::collection::vec(prop::bool::ANY, m * (m + 1) + 2 * m),
+                    prop::collection::vec(-5.0f64..5.0, 2 * m),
+                )
+            })
+            .prop_map(|((kinds, signs, keys), entries, zeros, rhs)| {
+                let m = kinds.len();
+                let kernel_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 0).collect();
+                let k = kernel_rows.len();
+                let n = k + 1 + m;
+                let mut a = vec![vec![0.0; n]; m];
+                for (t, col) in entries.chunks(m).take(k + 1).enumerate() {
+                    for (i, &e) in col.iter().enumerate() {
+                        a[i][t] = if kernel_rows.get(t) == Some(&i) {
+                            e + 8.0
+                        } else if zeros[t * m + i] {
+                            0.0
+                        } else {
+                            e
+                        };
+                    }
+                }
+                for i in 0..m {
+                    a[i][k + 1 + i] = if signs[i] { 1.0 } else { -1.0 };
+                }
+                let art_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 2).collect();
+                let columns: Vec<usize> = (0..m)
+                    .map(|i| match kinds[i] {
+                        0 => kernel_rows.iter().position(|&r| r == i).unwrap(),
+                        1 => k + 1 + i,
+                        _ => n + art_rows.iter().position(|&r| r == i).unwrap(),
+                    })
+                    .collect();
+                let mut order: Vec<usize> = (0..m).collect();
+                order.sort_by(|&p, &q| keys[p].total_cmp(&keys[q]));
+                let rhs_zeros = &zeros[m * (m + 1)..];
+                let rhs: Vec<f64> = rhs
+                    .iter()
+                    .zip(rhs_zeros)
+                    .map(|(&x, &zero)| if zero { 0.0 } else { x })
+                    .collect();
+                BasisCase {
+                    a,
+                    art_rows,
+                    basis: order.iter().map(|&p| columns[p]).collect(),
+                    v: rhs[..m].to_vec(),
+                    c: rhs[m..].to_vec(),
+                }
+            })
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// FTRAN and BTRAN through the unit factor agree with a dense LU
-        /// of the same basis matrix.
+        /// of the same basis matrix, and the factor's kernel is exactly
+        /// the basic columns that are not unit columns.
         #[test]
-        fn unit_factor_matches_dense_lu(
-            (kinds, signs, entries, keys, v, c) in random_basis()
-        ) {
-            let m = kinds.len();
-            let kernel_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 0).collect();
-            let k = kernel_rows.len();
-            // Columns: k + 1 dense structural columns (column t is
-            // diagonally dominant on kernel row t; the last one never
-            // enters), then one ±1 slack per row.
-            let n = k + 1 + m;
-            let mut a = vec![vec![0.0; n]; m];
-            for (t, col) in entries.chunks(m).take(k + 1).enumerate() {
-                for (i, &e) in col.iter().enumerate() {
-                    a[i][t] = e + if kernel_rows.get(t) == Some(&i) { 8.0 } else { 0.0 };
-                    if a[i][t] == 0.0 {
-                        a[i][t] = 0.5;
-                    }
-                }
-            }
-            for i in 0..m {
-                a[i][k + 1 + i] = if signs[i] { 1.0 } else { -1.0 };
-            }
-            let art_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 2).collect();
-            let mut columns: Vec<usize> = (0..m)
-                .map(|i| match kinds[i] {
-                    0 => kernel_rows.iter().position(|&r| r == i).unwrap(),
-                    1 => k + 1 + i,
-                    _ => n + art_rows.iter().position(|&r| r == i).unwrap(),
-                })
-                .collect();
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by(|&p, &q| keys[p].total_cmp(&keys[q]));
-            columns = order.iter().map(|&p| columns[p]).collect();
-
+        fn unit_factor_matches_dense_lu(case in random_basis()) {
+            let BasisCase { a, art_rows, basis, v, c } = &case;
+            let m = basis.len();
+            let n = a[0].len();
             let mut dense = Matrix::zeros(m, m);
-            let mut col = vec![0.0; m];
-            for (pos, &j) in columns.iter().enumerate() {
-                column_into(&a, n, &art_rows, j, &mut col);
-                for (i, &e) in col.iter().enumerate() {
-                    dense[(i, pos)] = e;
+            for (pos, &j) in basis.iter().enumerate() {
+                if j < n {
+                    for i in 0..m {
+                        dense[(i, pos)] = a[i][j];
+                    }
+                } else {
+                    dense[(art_rows[j - n], pos)] = 1.0;
                 }
             }
             let lu = LuDecomposition::new(&dense).expect("dominant basis is nonsingular");
-            let units = unit_columns(&a, n);
-            let mut factor = UnitLu::new(&a, &units, &art_rows, &columns)
-                .expect("unit factor of a nonsingular basis");
-            prop_assert_eq!(factor.kernel_col.len(), k);
+            let mut factor = unit_lu(a, art_rows, basis).expect("unit factor of a nonsingular basis");
+            let units = unit_columns(a, n);
+            let kernel = basis.iter().filter(|&&j| j < n && units[j].is_none()).count();
+            prop_assert_eq!(factor.kernel_pos.len(), kernel);
 
             let mut out = vec![0.0; m];
-            factor.ftran(&a, &v, &mut out);
-            for (x, y) in out.iter().zip(&lu.solve(&v).unwrap()) {
+            factor.ftran(v, &mut out);
+            for (x, y) in out.iter().zip(&lu.solve(v).unwrap()) {
                 prop_assert!((x - y).abs() < 1e-9, "ftran {x} vs dense {y}");
             }
-            factor.btran(&a, &c, &mut out);
-            for (x, y) in out.iter().zip(&lu.solve_transposed(&c).unwrap()) {
+            factor.btran(c, &mut out);
+            for (x, y) in out.iter().zip(&lu.solve_transposed(c).unwrap()) {
                 prop_assert!((x - y).abs() < 1e-9, "btran {x} vs dense {y}");
+            }
+        }
+
+        /// The sparse form's unit structure is the dense scan's, and FTRAN
+        /// and BTRAN through the flat coupling block reproduce the dense
+        /// coupling loops bit for bit.
+        #[test]
+        fn sparse_coupling_matches_dense_loops_bit_for_bit(case in random_basis()) {
+            let BasisCase { a, art_rows, basis, v, c } = &case;
+            let m = basis.len();
+            let n = a[0].len();
+            let sparse = SparseMatrix::from_dense(a, n);
+            let units = unit_columns(a, n);
+            for (j, unit) in units.iter().enumerate() {
+                prop_assert_eq!(sparse.unit(j), *unit, "unit structure of column {}", j);
+            }
+            let mut factor = UnitLu::new(&sparse, art_rows, basis)
+                .expect("unit factor of a nonsingular basis");
+            let (mut got, mut want) = (vec![0.0; m], vec![0.0; m]);
+            factor.ftran(v, &mut got);
+            dense_ftran(&mut factor, a, basis, v, &mut want);
+            for (x, y) in got.iter().zip(&want) {
+                prop_assert!(same_bits(*x, *y), "ftran {x:e} vs dense loops {y:e}");
+            }
+            factor.btran(c, &mut got);
+            dense_btran(&mut factor, a, basis, c, &mut want);
+            for (x, y) in got.iter().zip(&want) {
+                prop_assert!(same_bits(*x, *y), "btran {x:e} vs dense loops {y:e}");
             }
         }
     }

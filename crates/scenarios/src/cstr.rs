@@ -2,13 +2,15 @@
 //! 3-state plant, exercising the dimension-generic certification pipeline
 //! end to end (n-D `max_rpi`, n-D Raković tube, 3-D support geometry).
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::BoundedWalk;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Continuous stirred-tank reactor around its operating point, discretized
 /// at `δ = 30 s`. States (deviation coordinates): reactant concentration
@@ -71,9 +73,15 @@ impl CstrScenario {
             Polytope::from_box(&[-0.6, -8.0, -12.0], &[0.6, 8.0, 12.0]),
             // Coolant duty authority (normalized).
             Polytope::from_box(&[-4.0], &[4.0]),
-            // Feed-concentration and feed-temperature fluctuations.
-            Polytope::from_box(&[-0.03, -0.25, 0.0], &[0.03, 0.25, 0.0]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Feed-concentration and feed-temperature fluctuations.
+        Polytope::from_box(&[-0.03, -0.25, 0.0], &[0.03, 0.25, 0.0])
     }
 
     /// The temperature-regulating LQR gain.
@@ -115,11 +123,8 @@ impl Scenario for CstrScenario {
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Feed composition drifts slowly: a reflected random walk with
         // ~25%-of-half-width increments.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         let step: Vec<f64> = lo
             .iter()
             .zip(&hi)

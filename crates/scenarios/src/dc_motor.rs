@@ -1,12 +1,14 @@
 //! DC-motor position servo.
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::SteppedLevels;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// A position servo around a brushed DC motor: shaft-angle error `θ`
 /// (rad) and angular velocity `ω` (rad/s) at `δ = 0.05 s`. Viscous
@@ -47,9 +49,15 @@ impl DcMotorScenario {
             Polytope::from_box(&[-1.0, -4.0], &[1.0, 4.0]),
             // Armature voltage within ±2 (normalized).
             Polytope::from_box(&[-2.0], &[2.0]),
-            // Encoder creep and per-step load-torque speed kick.
-            Polytope::from_box(&[-0.005, -0.08], &[0.005, 0.08]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Encoder creep and per-step load-torque speed kick.
+        Polytope::from_box(&[-0.005, -0.08], &[0.005, 0.08])
     }
 
     /// The servo LQR gain.
@@ -90,11 +98,8 @@ impl Scenario for DcMotorScenario {
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Load torque holds between payload changes: 1–5 s dwells.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(SteppedLevels::new(lo, hi, (20, 100), seed))
     }
 }

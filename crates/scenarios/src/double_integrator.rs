@@ -1,13 +1,15 @@
 //! The perturbed double integrator, promoted from `examples/` into the
 //! scenario library.
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::SteppedLevels;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Position/velocity double integrator with bounded force and a box
 /// disturbance, under LQR feedback with a literal zero skip input — the
@@ -25,8 +27,14 @@ impl DoubleIntegratorScenario {
             ),
             Polytope::from_box(&[-5.0, -2.0], &[5.0, 2.0]),
             Polytope::from_box(&[-1.0], &[1.0]),
-            Polytope::from_box(&[-0.05, -0.05], &[0.05, 0.05]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        Polytope::from_box(&[-0.05, -0.05], &[0.05, 0.05])
     }
 
     /// The LQR gain the scenario stabilizes with.
@@ -69,10 +77,8 @@ impl Scenario for DoubleIntegratorScenario {
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Slowly switching load levels (the example's square wave,
         // randomized): held uniform draws from W with 15–40-step dwells.
-        let (lo, hi) = Self::plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(SteppedLevels::new(lo, hi, (15, 40), seed))
     }
 }

@@ -1,12 +1,14 @@
 //! Lateral lane-keeping dynamics under a tube MPC.
 
+use std::sync::OnceLock;
+
 use oic_control::{ConstrainedLti, Lti, TubeMpcBuilder};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::BoundedWalk;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Lane keeping: lateral offset `e` (m) and lateral velocity `v` (m/s)
 /// relative to the lane center, 20 Hz control, lateral-acceleration input,
@@ -46,10 +48,16 @@ impl LaneKeepingScenario {
             Polytope::from_box(&[-1.8, -1.2], &[1.8, 1.2]),
             // Lateral acceleration command within ±3 m/s² (comfort limit).
             Polytope::from_box(&[-3.0], &[3.0]),
-            // Crosswind/curvature kicks: small position creep, velocity
-            // kicks up to 0.6 m/s² · δ.
-            Polytope::from_box(&[-0.005, -0.03], &[0.005, 0.03]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Crosswind/curvature kicks: small position creep, velocity
+        // kicks up to 0.6 m/s² · δ.
+        Polytope::from_box(&[-0.005, -0.03], &[0.005, 0.03])
     }
 }
 
@@ -79,11 +87,8 @@ impl Scenario for LaneKeepingScenario {
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Gusty crosswind: a reflected random walk with ~30%-of-half-width
         // increments, correlated across steps.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         let step = lo
             .iter()
             .zip(&hi)

@@ -45,6 +45,8 @@
 //! assert!(instance.tube().is_ok(), "certified RPI tube derives");
 //! ```
 
+use std::sync::OnceLock;
+
 use oic_control::{
     rakovic_rpi_certified, ConstrainedLti, ControlError, Controller, InvariantOptions,
     LinearFeedback, TubeMpc,
@@ -163,6 +165,18 @@ pub fn tube_disturbance(plant: &ConstrainedLti) -> Result<Zonotope, CoreError> {
     let radii: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| 0.5 * (h - l)).collect();
     let neg: Vec<f64> = radii.iter().map(|r| -r).collect();
     Ok(Zonotope::from_box(&neg, &radii))
+}
+
+/// The bounding box `(lo, hi)` of the disturbance set `w()`, boxed by LP
+/// on the first call and read from `cell` on every later one — the
+/// per-episode `disturbance_process` of a scenario whose `W` reads no
+/// parameter solves no LP.
+pub(crate) fn disturbance_box(
+    cell: &OnceLock<(Vec<f64>, Vec<f64>)>,
+    w: fn() -> Polytope,
+) -> (Vec<f64>, Vec<f64>) {
+    cell.get_or_init(|| w().bounding_box().expect("W is a bounded box"))
+        .clone()
 }
 
 /// A certified minimal-RPI tube together with everything needed to

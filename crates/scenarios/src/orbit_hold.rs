@@ -1,12 +1,14 @@
 //! Radial orbit-hold station keeping (à la Ong et al., arXiv:2204.03110).
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::SinusoidBox;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Station keeping on the radial axis of the Hill/Clohessy–Wiltshire
 /// frame: radial deviation `x` (m) and radial rate `ẋ` (m/s) around the
@@ -46,10 +48,16 @@ impl OrbitHoldScenario {
             Polytope::from_box(&[-100.0, -0.5], &[100.0, 0.5]),
             // Thruster acceleration within ±0.01 m/s².
             Polytope::from_box(&[-0.01], &[0.01]),
-            // Differential drag / solar pressure: |accel| ≤ 1e-4 m/s²
-            // integrates to a ±1e-3 m/s rate kick and ±5e-3 m creep.
-            Polytope::from_box(&[-0.005, -0.001], &[0.005, 0.001]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Differential drag / solar pressure: |accel| ≤ 1e-4 m/s²
+        // integrates to a ±1e-3 m/s rate kick and ±5e-3 m creep.
+        Polytope::from_box(&[-0.005, -0.001], &[0.005, 0.001])
     }
 
     /// The station-keeping LQR gain.
@@ -94,11 +102,8 @@ impl Scenario for OrbitHoldScenario {
         // Perturbations synchronized with the orbit: one sinusoid per
         // orbital period (~571 steps at δ = 10 s) plus 20% jitter.
         let period = (std::f64::consts::TAU / (self.orbital_rate * self.dt)).round() as usize;
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(SinusoidBox::new(lo, hi, period.max(1), 0.8, 0.2, seed))
     }
 }

@@ -1,12 +1,14 @@
 //! Inverted pendulum on a cart, linearized about the upright equilibrium.
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::UniformBox;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// The balance subsystem of a cart-pole, linearized about upright: pole
 /// angle `θ` (rad) and angular rate `θ̇` (rad/s) at `δ = 0.01 s`. Gravity
@@ -49,9 +51,15 @@ impl PendulumCartScenario {
             Polytope::from_box(&[-0.2, -0.8], &[0.2, 0.8]),
             // Cart force authority within ±5 (normalized).
             Polytope::from_box(&[-5.0], &[5.0]),
-            // Track vibration / load jitter per step.
-            Polytope::from_box(&[-0.0005, -0.008], &[0.0005, 0.008]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Track vibration / load jitter per step.
+        Polytope::from_box(&[-0.0005, -0.008], &[0.0005, 0.008])
     }
 
     /// The balancing LQR gain.
@@ -93,11 +101,8 @@ impl Scenario for PendulumCartScenario {
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Vibration is fast and memoryless: i.i.d. uniform over W — the
         // harshest process Theorem 1 must absorb.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(UniformBox::new(lo, hi, seed))
     }
 }

@@ -1,12 +1,14 @@
 //! Quadrotor altitude hold.
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::BoundedWalk;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Altitude hold of a small quadrotor in deviation coordinates around the
 /// hover setpoint: altitude error `z` (m) and climb rate `ż` (m/s) at
@@ -47,9 +49,15 @@ impl QuadrotorAltScenario {
             Polytope::from_box(&[-2.0, -1.5], &[2.0, 1.5]),
             // Thrust deviation within ±1.5 (normalized collective).
             Polytope::from_box(&[-1.5], &[1.5]),
-            // Altimeter creep and per-step gust velocity kick.
-            Polytope::from_box(&[-0.01, -0.04], &[0.01, 0.04]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Altimeter creep and per-step gust velocity kick.
+        Polytope::from_box(&[-0.01, -0.04], &[0.01, 0.04])
     }
 
     /// The altitude-hold LQR gain.
@@ -91,11 +99,8 @@ impl Scenario for QuadrotorAltScenario {
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Gusts are correlated: a reflected random walk inside W with
         // per-step increments of ~40% of the half-width.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         let step: Vec<f64> = lo
             .iter()
             .zip(&hi)

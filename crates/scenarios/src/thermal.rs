@@ -1,12 +1,14 @@
 //! RC building-thermal zone regulation.
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::SteppedLevels;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// A single-zone RC thermal model in deviation coordinates around the
 /// comfort setpoint: room-air temperature deviation `T_r` and wall-mass
@@ -53,9 +55,15 @@ impl ThermalRcScenario {
             Polytope::from_box(&[-3.0, -5.0], &[3.0, 5.0]),
             // HVAC power deviation within ±2 (scaled kW).
             Polytope::from_box(&[-2.0], &[2.0]),
-            // Occupancy / solar / outdoor load per step.
-            Polytope::from_box(&[-0.04, -0.05], &[0.04, 0.05]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Occupancy / solar / outdoor load per step.
+        Polytope::from_box(&[-0.04, -0.05], &[0.04, 0.05])
     }
 
     /// The regulation LQR gain.
@@ -96,11 +104,8 @@ impl Scenario for ThermalRcScenario {
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Occupancy/solar load changes hold for 50–300 minutes at a time.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(SteppedLevels::new(lo, hi, (10, 60), seed))
     }
 }

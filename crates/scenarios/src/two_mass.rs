@@ -4,13 +4,15 @@
 //! 4-dimensional invariant-set machinery (the flexible mode cannot be
 //! decoupled into planar sub-problems).
 
+use std::sync::OnceLock;
+
 use oic_control::{dlqr, ConstrainedLti, LinearFeedback, Lti};
 use oic_core::{CoreError, DisturbanceProcess, SafeSets, SkipInput};
 use oic_geom::Polytope;
 use oic_linalg::Matrix;
 
 use crate::disturbance::UniformBox;
-use crate::{Scenario, ScenarioController, ScenarioInstance};
+use crate::{disturbance_box, Scenario, ScenarioController, ScenarioInstance};
 
 /// Two carts coupled by a spring and damper, force input on the first
 /// cart, discretized at `δ = 0.2 s` (a coarse industrial positioning
@@ -69,9 +71,15 @@ impl TwoMassSpringScenario {
             Polytope::from_box(&[-0.8, -1.5, -0.8, -1.5], &[0.8, 1.5, 0.8, 1.5]),
             // Drive force authority (normalized).
             Polytope::from_box(&[-3.0], &[3.0]),
-            // Floor vibration: small velocity kicks on both carts.
-            Polytope::from_box(&[0.0, -0.015, 0.0, -0.015], &[0.0, 0.015, 0.0, 0.015]),
+            Self::disturbance_set(),
         )
+    }
+
+    /// The disturbance set `W`. It reads no parameter, so its bounding
+    /// box is a constant of the scenario type.
+    fn disturbance_set() -> Polytope {
+        // Floor vibration: small velocity kicks on both carts.
+        Polytope::from_box(&[0.0, -0.015, 0.0, -0.015], &[0.0, 0.015, 0.0, 0.015])
     }
 
     /// The positioning LQR gain.
@@ -112,11 +120,8 @@ impl Scenario for TwoMassSpringScenario {
 
     fn disturbance_process(&self, seed: u64) -> Box<dyn DisturbanceProcess> {
         // Vibration is fast and memoryless: i.i.d. uniform draws over W.
-        let (lo, hi) = self
-            .plant()
-            .disturbance_set()
-            .bounding_box()
-            .expect("W is a bounded box");
+        static W_BOX: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+        let (lo, hi) = disturbance_box(&W_BOX, Self::disturbance_set);
         Box::new(UniformBox::new(lo, hi, seed))
     }
 }
