@@ -13,7 +13,7 @@ use oic_core::{ModelBasedPolicy, Monitor, PolicyContext, SkipPolicy};
 use oic_drl::{DoubleDqnAgent, DqnConfig};
 use oic_geom::{Polytope, SupportFunction};
 use oic_linalg::Matrix;
-use oic_lp::{Backend, LinearProgram, WarmStart};
+use oic_lp::{LinearProgram, WarmStart};
 use oic_sim::front::SinusoidalFront;
 use oic_sim::fuel::Hbefa3Fuel;
 use oic_sim::{AccParams, TrafficSim};
@@ -47,12 +47,12 @@ fn bench_lp(c: &mut Criterion) {
     });
 }
 
-fn bench_lp_backends(c: &mut Criterion) {
-    // Warm-started resolve vs cold resolve over the same RHS sequence —
-    // the speedup every templated MPC step inherits. The fixtures are
-    // shared with the `kernels` snapshot bin so `BENCH_kernels.json`
-    // records exactly this workload.
-    let lp = tall_lp(20, 80, Backend::Revised);
+fn bench_lp_resolve(c: &mut Criterion) {
+    // Warm-started resolve (revised engine) vs cold resolve (tableau)
+    // over the same RHS sequence — the speedup every templated MPC step
+    // inherits. The fixtures are shared with the `kernels` snapshot bin so
+    // `BENCH_kernels.json` records exactly this workload.
+    let lp = tall_lp(20, 80);
     let seq = drifting_rhs_sequence(&lp, 16);
     c.bench_function("lp/warm_vs_cold_resolve/cold", |b| {
         b.iter(|| {
@@ -76,24 +76,6 @@ fn bench_lp_backends(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // Revised vs tableau cold solves across problem shapes.
-    for (vars, rows, label) in [
-        (5usize, 10usize, "small_5x10"),
-        (20, 40, "square_20x40"),
-        (20, 160, "tall_20x160"),
-    ] {
-        for backend in [Backend::Tableau, Backend::Revised] {
-            let tag = if backend == Backend::Tableau {
-                "tableau"
-            } else {
-                "revised"
-            };
-            let lp = tall_lp(vars, rows, backend);
-            c.bench_function(&format!("lp/backend_sweep/{label}/{tag}"), |b| {
-                b.iter(|| black_box(lp.solve().expect("feasible")))
-            });
-        }
-    }
 }
 
 fn bench_geometry(c: &mut Criterion) {
@@ -212,7 +194,7 @@ fn bench_simulator(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_lp, bench_lp_backends, bench_geometry, bench_invariants, bench_controllers,
+    targets = bench_lp, bench_lp_resolve, bench_geometry, bench_invariants, bench_controllers,
         bench_simulator
 }
 criterion_main!(kernels);

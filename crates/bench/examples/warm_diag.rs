@@ -1,5 +1,5 @@
 //! Warm-start telemetry along a closed-loop tube-MPC trajectory: pivot
-//! counts, hit rates, and fallbacks — the observable the revised backend
+//! counts, hit rates, and fallbacks — the observable the revised engine
 //! is minimizing. Run with
 //! `cargo run --release -p oic-bench --example warm_diag`.
 

@@ -10,9 +10,11 @@
 //! perf *trajectory* for the ROADMAP, not a byte-compared baseline. The
 //! ratios (`speedup_*`) are the more machine-portable part: `mpc_step`'s
 //! compares the warm-started MPC step (the runtime path) with the cold
-//! templated solve each episode starts with; nothing gates on it.
+//! templated solve each episode starts with, and `lp_resolve`'s a warm
+//! (revised-engine) resolve with a cold (tableau) one; nothing gates on
+//! them.
 //!
-//! Schema 6: `engine_sweep` is one instrumented registry sweep that
+//! Schema 7: `engine_sweep` is one instrumented registry sweep that
 //! counts **executed** episodes only — cache-hit cells (zero recorded
 //! wall time; their episodes never ran) and failed cells are excluded
 //! from the throughput quotient — plus per-cell rates in
@@ -28,7 +30,7 @@ use oic_bench::fixtures::{acc_closed_loop_states, drifting_rhs_sequence, tall_lp
 use oic_control::{robust_controllable_pre, MpcWarmState};
 use oic_core::acc::AccCaseStudy;
 use oic_engine::{executed_throughput, JsonValue};
-use oic_lp::{Backend, WarmStart};
+use oic_lp::WarmStart;
 use oic_scenarios::ScenarioRegistry;
 
 /// Median wall-clock nanoseconds of `f` over `samples` runs (2 warm-ups).
@@ -130,7 +132,7 @@ fn main() {
 
     if engine_only {
         let doc = JsonValue::object()
-            .with("schema", 6.0)
+            .with("schema", 7.0)
             .with("engine_sweep", engine);
         println!("{}", doc.to_json_pretty());
         if let Err(e) = std::fs::write(&out, doc.to_json_pretty()) {
@@ -162,8 +164,9 @@ fn main() {
         }
     }) / states.len() as u64;
 
-    // --- LP resolve sequence: warm vs cold on an MPC-shaped program. ---
-    let lp = tall_lp(20, 80, Backend::Revised);
+    // --- LP resolve sequence: warm (revised) vs cold (tableau) on an
+    // MPC-shaped program. ---
+    let lp = tall_lp(20, 80);
     let seq = drifting_rhs_sequence(&lp, 16);
     let resolve_cold = median_ns(samples, || {
         for rhs in &seq {
@@ -176,29 +179,6 @@ fn main() {
             lp.solve_warm_with_rhs(rhs, &mut warm).expect("feasible");
         }
     }) / seq.len() as u64;
-
-    // --- Backend sweep: cold tableau vs cold revised across shapes. ---
-    let mut sweep = JsonValue::object();
-    for (vars, rows, label) in [
-        (5usize, 10usize, "small_5x10"),
-        (20, 40, "square_20x40"),
-        (20, 160, "tall_20x160"),
-    ] {
-        let tableau = tall_lp(vars, rows, Backend::Tableau);
-        let revised = tall_lp(vars, rows, Backend::Revised);
-        let t_ns = median_ns(samples, || {
-            tableau.solve().expect("feasible");
-        });
-        let r_ns = median_ns(samples, || {
-            revised.solve().expect("feasible");
-        });
-        sweep = sweep.with(
-            label,
-            JsonValue::object()
-                .with("tableau_ns", t_ns as f64)
-                .with("revised_ns", r_ns as f64),
-        );
-    }
 
     // --- n-D certification kernels: Fourier–Motzkin projection and
     // Raković RPI tube synthesis on the registry's 2-, 3-, and 4-state
@@ -244,7 +224,7 @@ fn main() {
 
     let ratio = |slow: u64, fast: u64| slow as f64 / fast.max(1) as f64;
     let doc = JsonValue::object()
-        .with("schema", 6.0)
+        .with("schema", 7.0)
         .with(
             "mpc_step",
             JsonValue::object()
@@ -259,7 +239,6 @@ fn main() {
                 .with("warm_ns", resolve_warm as f64)
                 .with("speedup_warm", ratio(resolve_cold, resolve_warm)),
         )
-        .with("backend_sweep", sweep)
         .with("nd_geometry", nd)
         .with("engine_sweep", engine);
 

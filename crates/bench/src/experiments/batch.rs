@@ -92,23 +92,15 @@ pub fn config(scale: &ExperimentScale) -> BatchConfig {
 /// materialize wherever the network's dimensions fit the plant — the
 /// scenario it was trained for is the headline row, the rest are
 /// zero-shot transfer stressors that Theorem 1 keeps safe anyway).
+/// Returns the report plus the sweep statistics — work-stealing scheduler
+/// counters, dimension-skip tallies and per-cell wall times (for
+/// wall-clock summaries and throughput reports; never serialized into the
+/// deterministic report).
 ///
 /// # Errors
 ///
 /// Propagates scenario-build and episode failures from the engine;
 /// unreadable `--policies` blobs surface as [`EngineError::InvalidConfig`].
-pub fn run(scale: &ExperimentScale) -> Result<BatchReport, EngineError> {
-    run_with_stats(scale).map(|(report, _)| report)
-}
-
-/// [`run`] plus the sweep statistics — work-stealing scheduler counters,
-/// dimension-skip tallies and per-cell wall times (for wall-clock
-/// summaries and throughput reports; never serialized into the
-/// deterministic report).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
 pub fn run_with_stats(scale: &ExperimentScale) -> Result<(BatchReport, SweepStats), EngineError> {
     let registry = crate::golden::registry_with_golden();
     let roster = full_roster(&registry, scale).map_err(|message| {
@@ -256,7 +248,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let report = run(&scale).unwrap();
+        let report = run_with_stats(&scale).unwrap().0;
         // 10 scenarios × 5 analytic policies, plus the two golden 4-input
         // networks on each of the eight 2-state plants (the 3-state CSTR
         // and 4-state two-mass spring cells are dimension-skipped).
@@ -391,15 +383,17 @@ mod tests {
             shard: Some(shard.to_string()),
             ..Default::default()
         };
-        let full = run(&ExperimentScale {
+        let full = run_with_stats(&ExperimentScale {
             cases: 2,
             steps: 15,
             train_episodes: 0,
             seed: 5,
             ..Default::default()
         })
-        .unwrap();
-        let (a, b) = (run(&scale("0/2")).unwrap(), run(&scale("1/2")).unwrap());
+        .unwrap()
+        .0;
+        let a = run_with_stats(&scale("0/2")).unwrap().0;
+        let b = run_with_stats(&scale("1/2")).unwrap().0;
         assert_eq!(a.shard, Some(ShardInfo { index: 0, of: 2 }));
         assert_eq!(a.cells.len() + b.cells.len(), full.cells.len());
         // Interleaving merged[g] = shard[g % 2].cells[g / 2] rebuilds the
@@ -408,7 +402,7 @@ mod tests {
             let piece = if g % 2 == 0 { &a } else { &b };
             assert_eq!(&piece.cells[g / 2], cell, "global cell {g}");
         }
-        assert!(run(&scale("2/2")).is_err(), "index out of range");
+        assert!(run_with_stats(&scale("2/2")).is_err(), "index out of range");
     }
 
     #[test]
@@ -420,12 +414,13 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let plain = run(&base).unwrap();
-        let faulted = run(&ExperimentScale {
+        let plain = run_with_stats(&base).unwrap().0;
+        let faulted = run_with_stats(&ExperimentScale {
             dropout: vec!["none".into(), "mk-1-5".into()],
             ..base.clone()
         })
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(faulted.cells.len(), 2 * plain.cells.len());
         // The none-variant cells render the exact fault-free bytes.
         for (g, cell) in plain.cells.iter().enumerate() {
@@ -450,7 +445,10 @@ mod tests {
             dropout: vec!["bernoulli-nope".into()],
             ..base
         };
-        assert!(run(&bad).is_err(), "bad labels are rejected loudly");
+        assert!(
+            run_with_stats(&bad).is_err(),
+            "bad labels are rejected loudly"
+        );
     }
 
     #[test]

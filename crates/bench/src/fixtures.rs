@@ -6,13 +6,12 @@
 //! guaranteed to measure exactly the workload the bench suite runs.
 
 use oic_control::TubeMpc;
-use oic_lp::{Backend, LinearProgram};
+use oic_lp::LinearProgram;
 
 /// A tall MPC-shaped LP: `rows` coupled `≤`-constraints over `vars`
 /// box-bounded variables.
-pub fn tall_lp(vars: usize, rows: usize, backend: Backend) -> LinearProgram {
+pub fn tall_lp(vars: usize, rows: usize) -> LinearProgram {
     let mut lp = LinearProgram::maximize(&vec![1.0; vars]);
-    lp.set_backend(backend);
     for i in 0..vars {
         lp.set_bounds(i, -1.0, 1.0);
     }

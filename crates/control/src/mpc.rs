@@ -547,8 +547,8 @@ impl TubeMpc {
 
     /// Solves the tube-MPC LP at state `x` through the precompiled
     /// template: only the RHS vector is rebuilt (one dot product per
-    /// state-dependent row), then the LP re-solves cold on the reference
-    /// backend.
+    /// state-dependent row), then the LP re-solves cold on the dense
+    /// tableau.
     ///
     /// # Errors
     ///
@@ -568,9 +568,9 @@ impl TubeMpc {
     /// of this solve seeds the next solve through the same
     /// [`MpcWarmState`]. Because only the RHS changes between the steps of
     /// an episode, the carried basis stays dual feasible and each re-solve
-    /// is a few dual-simplex pivots on the revised backend instead of a
+    /// is a few dual-simplex pivots on the revised engine instead of a
     /// full two-phase solve (the first solve through a fresh state runs
-    /// cold).
+    /// cold on the tableau).
     ///
     /// Results agree with [`solve`](Self::solve) to solver tolerance but
     /// are not bit-identical to it.

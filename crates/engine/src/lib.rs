@@ -69,9 +69,9 @@ pub use json::{JsonParseError, JsonValue};
 pub use oic_faults::{CellFault, DropoutSpec, FaultPlan};
 pub use report::{BatchReport, CellOutcome, CellReport, EpisodeRecord};
 pub use runner::{
-    episode_seed, executed_throughput, run_batch, run_batch_opts, run_batch_with_stats,
-    run_episode, BatchConfig, CellTiming, EngineError, ExecutedThroughput, PolicySpec,
-    PreparedPolicy, SweepOptions, SweepStats,
+    episode_seed, executed_throughput, run_batch, run_batch_opts, run_episode, BatchConfig,
+    CellTiming, EngineError, ExecutedThroughput, PolicySpec, PreparedPolicy, SweepOptions,
+    SweepStats,
 };
 pub use spec::{
     canonical_policy, cell_hash, cell_hash_canonical, parse_policy, ShardInfo, SweepSpec,

@@ -683,27 +683,15 @@ pub fn run_batch(
     policies: &[PolicySpec],
     config: &BatchConfig,
 ) -> Result<BatchReport, EngineError> {
-    run_batch_with_stats(registry, policies, config).map(|(report, _)| report)
+    run_batch_opts(registry, policies, config, &SweepOptions::default()).map(|(report, _)| report)
 }
 
-/// [`run_batch`] plus the sweep's [`SweepStats`] (scheduler counters,
-/// skipped-cell counts, per-cell wall time — wall-clock diagnostics that
-/// deliberately stay out of the deterministic report).
-///
-/// # Errors
-///
-/// Same contract as [`run_batch`].
-pub fn run_batch_with_stats(
-    registry: &ScenarioRegistry,
-    policies: &[PolicySpec],
-    config: &BatchConfig,
-) -> Result<(BatchReport, SweepStats), EngineError> {
-    run_batch_opts(registry, policies, config, &SweepOptions::default())
-}
-
-/// [`run_batch_with_stats`] with [`SweepOptions`] — the cell-granular
-/// entry point the serve layer and the sharded/cached bench runs build
-/// on.
+/// [`run_batch`] with [`SweepOptions`], plus the sweep's [`SweepStats`]
+/// (scheduler counters, skipped-cell counts, per-cell wall time —
+/// wall-clock diagnostics that deliberately stay out of the deterministic
+/// report). This is the cell-granular entry point the serve layer and the
+/// sharded/cached bench runs build on; [`SweepOptions::default`] runs the
+/// plain sweep.
 ///
 /// # Errors
 ///
@@ -1222,8 +1210,13 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        let (report, stats) =
-            run_batch_with_stats(&registry, &[PolicySpec::BangBang], &config).unwrap();
+        let (report, stats) = run_batch_opts(
+            &registry,
+            &[PolicySpec::BangBang],
+            &config,
+            &SweepOptions::default(),
+        )
+        .unwrap();
         assert_eq!(report.cells[0].episodes, 40);
         assert_eq!(stats.steal.executed, 10, "40 episodes / chunk 4 = 10 tasks");
         assert!(stats.steal.workers >= 1 && stats.steal.workers <= 4);
@@ -1250,7 +1243,8 @@ mod tests {
             steps: 10,
             ..Default::default()
         };
-        let (report, stats) = run_batch_with_stats(&registry, &policies, &config).unwrap();
+        let (report, stats) =
+            run_batch_opts(&registry, &policies, &config, &SweepOptions::default()).unwrap();
         assert_eq!(stats.cells_skipped_incompatible, 1, "cstr × drl-di-only");
         assert_eq!(report.cells.len(), 3);
         assert_eq!(stats.cell_timings.len(), 3);

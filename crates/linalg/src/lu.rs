@@ -188,7 +188,9 @@ impl LuDecomposition {
     }
 
     /// Solves the transposed system `Aᵀ x = c`, writing `x` into `out` —
-    /// the revised simplex BTRAN (`Bᵀ y = c_B` pricing solve).
+    /// the revised simplex BTRAN (`Bᵀ y = c_B` pricing solve). `c` is the
+    /// solve's workspace and is overwritten, so a hot loop allocates
+    /// nothing.
     ///
     /// With `PA = LU`: `Aᵀ = Uᵀ Lᵀ P`, so solve `Uᵀ z = c` (forward),
     /// `Lᵀ w = z` (backward), then un-permute `x[perm[i]] = w[i]`.
@@ -196,7 +198,7 @@ impl LuDecomposition {
     /// # Panics
     ///
     /// Panics if `c.len()` or `out.len()` differ from the dimension.
-    pub fn solve_transposed_into(&self, c: &[f64], out: &mut [f64]) {
+    pub fn solve_transposed_into(&self, c: &mut [f64], out: &mut [f64]) {
         let n = self.lu.rows();
         assert_eq!(c.len(), n, "right-hand side length must match dimension");
         assert_eq!(out.len(), n, "output length must match dimension");
@@ -204,7 +206,7 @@ impl LuDecomposition {
         // walk *columns* of the row-major storage (strided); sweeping with
         // the finished component instead touches each row slice
         // contiguously and skips zero multipliers.
-        let mut w = c.to_vec();
+        let w = c;
         // Uᵀ w' = c (Uᵀ is lower-triangular): once w[j] is final, subtract
         // its contribution U[j][i]·w[j] from every later component.
         for j in 0..n {
@@ -241,7 +243,7 @@ impl LuDecomposition {
     /// Never fails after a successful factorization (see [`Self::solve`]).
     pub fn solve_transposed(&self, c: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
         let mut out = vec![0.0; self.lu.rows()];
-        self.solve_transposed_into(c, &mut out);
+        self.solve_transposed_into(&mut c.to_vec(), &mut out);
         Ok(out)
     }
 

@@ -6,19 +6,20 @@
 //! solver for the model-based skipping policy (paper Eq. (6)). No solver
 //! crates are available offline, so this crate implements both from scratch:
 //!
-//! * [`LinearProgram`] — a multi-backend simplex. The default engine is a
-//!   dense, two-phase primal tableau with Bland's rule as an anti-cycling
-//!   fallback (the bit-stable reference every committed baseline is
-//!   recorded against); a **revised** simplex over the standard form
-//!   stored by its nonzeros (a basis factored through its unit columns
-//!   with a sparse coupling block, a product-form eta file, primal and
-//!   dual iterations) serves warm-started resolve sequences via
-//!   [`LinearProgram::solve_warm`] — see [`Backend`] for the selection
-//!   rules. Its sparse passes skip only exact zeros, in the dense
-//!   accumulation order, so they pivot exactly as a dense sweep would.
-//!   Variables are **free by
-//!   default** (the geometry code works with unconstrained coordinates);
-//!   bounds and equality/inequality constraints are added explicitly.
+//! * [`LinearProgram`] — a simplex with one engine per job. Cold solves
+//!   run a dense, two-phase primal tableau with Bland's rule as an
+//!   anti-cycling fallback (the bit-stable reference every committed
+//!   baseline is recorded against). Warm-started resolve sequences
+//!   ([`LinearProgram::solve_warm`]) re-solve from the previous solve's
+//!   basis on a **revised** simplex over the standard form stored by its
+//!   nonzeros (a basis factored through its unit columns with a sparse
+//!   coupling block, a product-form eta file, primal and dual
+//!   iterations); without a usable basis they fall back to a cold
+//!   tableau solve. The revised engine's sparse passes skip only exact
+//!   zeros, in the dense accumulation order, so they pivot exactly as a
+//!   dense sweep would. Variables are **free by default** (the geometry
+//!   code works with unconstrained coordinates); bounds and
+//!   equality/inequality constraints are added explicitly.
 //! * [`MixedIntegerProgram`] — best-first branch-and-bound over binary
 //!   variables with LP relaxations.
 //!
@@ -46,7 +47,7 @@ mod revised;
 mod simplex;
 
 pub use mip::{MipSolution, MixedIntegerProgram};
-pub use problem::{Backend, LinearProgram, LpSolution, Relation, WarmStart};
+pub use problem::{LinearProgram, LpSolution, Relation, WarmStart};
 
 use std::error::Error;
 use std::fmt;

@@ -1,8 +1,11 @@
-//! User-facing linear-program builder with pluggable solve backends.
+//! User-facing linear-program builder. A cold solve ([`LinearProgram::solve`])
+//! runs the dense two-phase tableau; a warm one
+//! ([`LinearProgram::solve_warm`]) re-solves on the revised engine from the
+//! basis the previous solve left behind.
 
 use std::sync::{Arc, OnceLock};
 
-use crate::revised::{solve_revised, solve_revised_warm, SparseMatrix, WarmCarry, WarmOutcome};
+use crate::revised::{solve_revised_warm, SparseMatrix, WarmCarry, WarmOutcome};
 use crate::simplex::{solve_standard, StandardForm, StandardSolution};
 use crate::LpError;
 
@@ -17,31 +20,6 @@ pub enum Relation {
     Ge,
 }
 
-/// Which simplex engine executes a solve.
-///
-/// | Backend | Cold [`solve`](LinearProgram::solve) | Warm [`solve_warm`](LinearProgram::solve_warm) |
-/// |---|---|---|
-/// | `Auto` (default) | dense tableau (bit-stable reference) | revised from the carried basis once the problem is tall enough (≥ 8 rows), tableau otherwise |
-/// | `Tableau` | dense tableau | dense tableau every time (warm state ignored) |
-/// | `Revised` | revised two-phase | revised from the carried basis |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Per-shape selection: the dense tableau for one-shot solves (its
-    /// pivot sequence is the deterministic reference all baselines are
-    /// recorded against), the revised engine for warm-started sequences on
-    /// MPC-shaped (tall) problems.
-    #[default]
-    Auto,
-    /// Force the dense two-phase tableau everywhere.
-    Tableau,
-    /// Force the revised (factorized-basis) engine everywhere.
-    Revised,
-}
-
-/// Minimum row count for `Backend::Auto` to route a warm solve to the
-/// revised engine; below this the tableau's cache behavior wins.
-const AUTO_WARM_MIN_ROWS: usize = 8;
-
 /// Basis state carried between [`LinearProgram::solve_warm`] calls.
 ///
 /// A carried basis is only reused by a program with the structure it was
@@ -52,11 +30,10 @@ const AUTO_WARM_MIN_ROWS: usize = 8;
 /// # Examples
 ///
 /// ```
-/// use oic_lp::{Backend, LinearProgram, WarmStart};
+/// use oic_lp::{LinearProgram, WarmStart};
 ///
 /// # fn main() -> Result<(), oic_lp::LpError> {
 /// let mut lp = LinearProgram::maximize(&[1.0, 1.0]);
-/// lp.set_backend(Backend::Revised);
 /// for i in 0..10 {
 ///     lp.add_le(&[1.0, (i % 3) as f64 + 1.0], 4.0 + i as f64);
 /// }
@@ -255,7 +232,6 @@ pub struct LinearProgram {
     constraints: Vec<Constraint>,
     lower: Vec<Option<f64>>,
     upper: Vec<Option<f64>>,
-    backend: Backend,
     /// Process-unique structure revision: advanced by every mutation that
     /// changes the constraint matrix or bound structure (not by RHS or
     /// cost updates). Guards the basis carried in a [`WarmStart`].
@@ -312,7 +288,6 @@ impl LinearProgram {
             constraints: Vec::new(),
             lower: vec![None; costs.len()],
             upper: vec![None; costs.len()],
-            backend: Backend::Auto,
             structure_rev: next_revision(),
             compiled: OnceLock::new(),
         }
@@ -342,17 +317,6 @@ impl LinearProgram {
     /// Number of constraints added so far (excluding variable bounds).
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Selects the solve backend (default [`Backend::Auto`]).
-    pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Adds a general constraint `coeffs · x REL rhs`.
@@ -715,18 +679,15 @@ impl LinearProgram {
         })
     }
 
-    /// Cold solve on the flipped (two-phase) standard form under the
-    /// configured backend.
+    /// Cold solve of the flipped (two-phase) standard form on the dense
+    /// tableau.
     fn solve_cold(
         &self,
         rhs_override: Option<&[f64]>,
     ) -> Result<(Standardized, StandardSolution), LpError> {
         oic_obs::counter!("lp.solves", "solves").incr();
         let std = self.standardize(rhs_override, true)?;
-        let sol = match self.backend {
-            Backend::Revised => solve_revised(&std.sf, &std.hints)?,
-            Backend::Tableau | Backend::Auto => solve_standard(&std.sf, &std.hints)?,
-        };
+        let sol = solve_standard(&std.sf, &std.hints)?;
         oic_obs::counter!("lp.pivots", "pivots").add(sol.iters as u64);
         Ok((std, sol))
     }
@@ -772,7 +733,9 @@ impl LinearProgram {
 
     /// Solves the program, carrying the optimal basis in `warm` so the
     /// *next* solve through the same `WarmStart` can skip phase 1 and most
-    /// pivots. See [`Backend`] for when the revised engine is used.
+    /// pivots. With a carried basis the revised engine re-solves from it;
+    /// without one, or when it cannot be restored, the solve runs cold on
+    /// the tableau and seeds `warm` with the tableau's optimal basis.
     ///
     /// # Errors
     ///
@@ -815,54 +778,39 @@ impl LinearProgram {
         warm: &mut WarmStart,
     ) -> Result<LpSolution, LpError> {
         warm.solves += 1;
-        let both_bounded = self
-            .lower
-            .iter()
-            .zip(&self.upper)
-            .filter(|(l, u)| l.is_some() && u.is_some())
-            .count();
-        let m = self.constraints.len() + both_bounded;
-        let use_revised = match self.backend {
-            Backend::Tableau => false,
-            Backend::Revised => true,
-            Backend::Auto => m >= AUTO_WARM_MIN_ROWS,
-        };
-
-        if use_revised {
-            let compiled = self.compiled_form()?;
-            // A basis recorded for another structure indexes other columns
-            // (RHS/cost updates keep the revision, so they stay warm).
-            if warm.revision != self.structure_rev {
-                warm.revision = self.structure_rev;
-                warm.carry.clear();
-            }
-            let WarmStart {
-                carry,
-                warm_hits,
-                fallbacks,
-                pivots,
-                last_fallback_reason,
-                ..
-            } = warm;
-            if !carry.is_empty() && carry.basis.len() == compiled.a.num_rows() {
-                let b = compiled.rhs_vector(self, rhs_override);
-                let (c_std, obj_constant) = compiled.cost_vector(self);
-                match solve_revised_warm(&compiled.a, &b, &c_std, carry) {
-                    WarmOutcome::Solved(sol) => {
-                        *warm_hits += 1;
-                        *pivots += sol.iters as u64;
-                        oic_obs::counter!("lp.solves", "solves").incr();
-                        oic_obs::counter!("lp.warm_hits", "solves").incr();
-                        oic_obs::counter!("lp.pivots", "pivots").add(sol.iters as u64);
-                        return Ok(self.finish(&compiled.var_map, obj_constant, &sol));
-                    }
-                    WarmOutcome::Lp(e) => return Err(e),
-                    WarmOutcome::Fallback(failure) => {
-                        *fallbacks += 1;
-                        *last_fallback_reason = Some(failure.reason());
-                        oic_obs::counter!("lp.warm_fallbacks", "solves").incr();
-                        carry.clear();
-                    }
+        let compiled = self.compiled_form()?;
+        // A basis recorded for another structure indexes other columns
+        // (RHS/cost updates keep the revision, so they stay warm).
+        if warm.revision != self.structure_rev {
+            warm.revision = self.structure_rev;
+            warm.carry.clear();
+        }
+        let WarmStart {
+            carry,
+            warm_hits,
+            fallbacks,
+            pivots,
+            last_fallback_reason,
+            ..
+        } = warm;
+        if !carry.is_empty() && carry.basis.len() == compiled.a.num_rows() {
+            let b = compiled.rhs_vector(self, rhs_override);
+            let (c_std, obj_constant) = compiled.cost_vector(self);
+            match solve_revised_warm(&compiled.a, &b, &c_std, carry) {
+                WarmOutcome::Solved(sol) => {
+                    *warm_hits += 1;
+                    *pivots += sol.iters as u64;
+                    oic_obs::counter!("lp.solves", "solves").incr();
+                    oic_obs::counter!("lp.warm_hits", "solves").incr();
+                    oic_obs::counter!("lp.pivots", "pivots").add(sol.iters as u64);
+                    return Ok(self.finish(&compiled.var_map, obj_constant, &sol));
+                }
+                WarmOutcome::Lp(e) => return Err(e),
+                WarmOutcome::Fallback(failure) => {
+                    *fallbacks += 1;
+                    *last_fallback_reason = Some(failure.reason());
+                    oic_obs::counter!("lp.warm_fallbacks", "solves").incr();
+                    carry.clear();
                 }
             }
         }
@@ -872,12 +820,9 @@ impl LinearProgram {
         // artificial would not transfer to the unflipped column space).
         let (std, sol) = self.solve_cold(rhs_override)?;
         warm.pivots += sol.iters as u64;
-        if use_revised {
-            if let Some(basis) = sol.structural_basis(std.total) {
-                warm.carry.set_basis(basis);
-            } else {
-                warm.carry.clear();
-            }
+        match sol.structural_basis(std.total) {
+            Some(basis) => warm.carry.set_basis(basis),
+            None => warm.carry.clear(),
         }
         Ok(self.map_solution(&std, &sol))
     }
@@ -1015,26 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn revised_backend_matches_tableau_on_builder_problems() {
-        let build = |backend: Backend| {
-            let mut lp = LinearProgram::maximize(&[3.0, 5.0]);
-            lp.set_backend(backend);
-            lp.add_le(&[1.0, 0.0], 4.0);
-            lp.add_le(&[0.0, 2.0], 12.0);
-            lp.add_le(&[3.0, 2.0], 18.0);
-            lp.set_lower_bound(0, 0.0);
-            lp.set_lower_bound(1, 0.0);
-            lp.solve().unwrap()
-        };
-        let t = build(Backend::Tableau);
-        let r = build(Backend::Revised);
-        assert!((t.objective() - r.objective()).abs() < 1e-9);
-        for (a, b) in t.x().iter().zip(r.x()) {
-            assert!((a - b).abs() < 1e-7);
-        }
-    }
-
-    #[test]
     fn solve_with_rhs_leaves_program_untouched() {
         let mut lp = LinearProgram::maximize(&[1.0]);
         lp.set_lower_bound(0, 0.0);
@@ -1048,7 +973,6 @@ mod tests {
     #[test]
     fn warm_start_sequence_matches_cold_solves() {
         let mut lp = LinearProgram::maximize(&[2.0, 1.0]);
-        lp.set_backend(Backend::Revised);
         lp.add_le(&[1.0, 1.0], 10.0);
         lp.add_le(&[1.0, -1.0], 4.0);
         lp.add_le(&[0.5, 2.0], 9.0);
@@ -1073,7 +997,6 @@ mod tests {
     #[test]
     fn warm_start_survives_objective_change() {
         let mut lp = LinearProgram::maximize(&[1.0, 0.0]);
-        lp.set_backend(Backend::Revised);
         lp.add_le(&[1.0, 1.0], 4.0);
         lp.add_le(&[1.0, -1.0], 2.0);
         lp.set_lower_bound(0, 0.0);
@@ -1088,21 +1011,8 @@ mod tests {
     }
 
     #[test]
-    fn tableau_backend_ignores_warm_state_but_still_solves() {
-        let mut lp = LinearProgram::maximize(&[1.0]);
-        lp.set_backend(Backend::Tableau);
-        lp.set_bounds(0, 0.0, 3.0);
-        let mut warm = WarmStart::new();
-        let sol = lp.solve_warm(&mut warm).unwrap();
-        assert!((sol.objective() - 3.0).abs() < 1e-9);
-        assert_eq!(warm.warm_hits(), 0);
-        assert!(!warm.has_basis());
-    }
-
-    #[test]
     fn clones_share_one_compiled_form_until_a_structural_mutation() {
         let mut lp = LinearProgram::maximize(&[1.0, 1.0]);
-        lp.set_backend(Backend::Revised);
         lp.add_le(&[1.0, 2.0], 4.0);
         lp.add_le(&[3.0, 1.0], 6.0);
         lp.set_lower_bound(0, 0.0);
@@ -1128,7 +1038,6 @@ mod tests {
     #[test]
     fn warm_infeasible_rhs_reports_infeasible() {
         let mut lp = LinearProgram::minimize(&[0.0]);
-        lp.set_backend(Backend::Revised);
         lp.add_le(&[1.0], 5.0);
         lp.add_ge(&[1.0], 1.0);
         let mut warm = WarmStart::new();

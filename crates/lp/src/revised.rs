@@ -10,22 +10,23 @@
 //! * a product-form **eta file**: one column per pivot since the last
 //!   refactorization, applied on top of `B₀` in FTRAN/BTRAN solves.
 //!
-//! Two iteration modes are provided:
+//! The engine only re-solves from a basis a previous solve left behind;
+//! cold solves (and with them phase 1) belong to the dense tableau. Two
+//! iteration modes restore optimality from that basis:
 //!
-//! * **primal** simplex (phase 1 with artificials + phase 2), mirroring the
-//!   tableau engine's contract on `b ≥ 0` standard forms, and
+//! * **primal** simplex, when the basis is still primal feasible (the
+//!   objective changed), and
 //! * **dual** simplex, which is what makes RHS-perturbed warm starts cheap:
 //!   an optimal basis stays *dual* feasible when only `b` changes (the
 //!   tube-MPC resolve pattern), so re-optimization is a handful of dual
 //!   pivots instead of a full two-phase solve.
 //!
-//! [`solve_revised_warm`] accepts a basis from a previous solve and picks
-//! the right mode automatically; callers fall back to a cold solve when it
-//! reports [`WarmOutcome::Fallback`].
+//! [`solve_revised_warm`] picks the mode automatically; callers fall back
+//! to a cold tableau solve when it reports [`WarmOutcome::Fallback`].
 
 use oic_linalg::{LuDecomposition, Matrix};
 
-use crate::simplex::{StandardForm, StandardSolution, EPS};
+use crate::simplex::{StandardSolution, EPS};
 use crate::LpError;
 
 /// Maximum pivots before declaring numerical trouble (matches the tableau).
@@ -190,15 +191,16 @@ struct Eta {
 
 /// `B₀` factored through its unit columns.
 ///
-/// A unit basic column (a slack or a phase-1 artificial) is zero off its
-/// one row, and in a nonsingular basis the unit columns cover distinct
-/// rows. With rows ordered (uncovered, covered) and columns ordered
-/// (non-unit, unit), `B₀` is block lower triangular, `[[S, 0], [C, D]]`
-/// with `D` diagonal. FTRAN is then one `k × k` LU solve on `S` plus one
-/// back-substitution per covered row, and BTRAN mirrors it, where `k` is
-/// the number of non-unit basic columns (at most 38 for the ACC tube MPC,
-/// against `m = 168` rows). The coupling block `C` is kept by its
-/// nonzeros (~830 of acc's 130 × 38), so neither solve reads a zero of it.
+/// A unit basic column (a slack, or a structural column that touches one
+/// row) is zero off its one row, and in a nonsingular basis the unit
+/// columns cover distinct rows. With rows ordered (uncovered, covered) and
+/// columns ordered (non-unit, unit), `B₀` is block lower triangular,
+/// `[[S, 0], [C, D]]` with `D` diagonal. FTRAN is then one `k × k` LU
+/// solve on `S` plus one back-substitution per covered row, and BTRAN
+/// mirrors it, where `k` is the number of non-unit basic columns (at most
+/// 38 for the ACC tube MPC, against `m = 168` rows). The coupling block
+/// `C` is kept by its nonzeros (~830 of acc's 130 × 38), so neither solve
+/// reads a zero of it.
 #[derive(Debug, Clone)]
 struct UnitLu {
     /// `(basis position, row, value)` of every unit basic column.
@@ -212,20 +214,18 @@ struct UnitLu {
     kernel_rows: Vec<usize>,
     /// LU of `S = B₀[kernel_rows, kernel_pos]`; `None` when `k = 0`.
     lu: Option<LuDecomposition>,
-    /// `k`-long right-hand side and solution of the `S` solves.
+    /// `k`-long right-hand side and solution of the `S` solves (BTRAN's
+    /// solve overwrites `rhs`; every solve refills it first).
     rhs: Vec<f64>,
     sol: Vec<f64>,
 }
 
 impl UnitLu {
-    /// Factors the basis `basis` of the working matrix: structural and
-    /// slack column `j < n` is column `j` of `a`, artificial column `n + t`
-    /// is the unit vector on row `art_rows[t]`.
+    /// Factors the basis `basis`, column indices of `a`.
     ///
     /// Two unit columns on one row, or a singular `S`, make the basis
     /// singular.
-    fn new(a: &SparseMatrix, art_rows: &[usize], basis: &[usize]) -> Result<Self, WarmFailure> {
-        let n = a.num_cols();
+    fn new(a: &SparseMatrix, basis: &[usize]) -> Result<Self, WarmFailure> {
         let m = basis.len();
         // `slot[i]`: `u` for the row unit `u` covers, `units.len() + r`
         // for the `r`-th uncovered row.
@@ -234,12 +234,7 @@ impl UnitLu {
         let mut kernel_pos = Vec::new();
         let mut kernel_col = Vec::new();
         for (pos, &j) in basis.iter().enumerate() {
-            let unit = if j < n {
-                a.unit(j)
-            } else {
-                Some((art_rows[j - n], 1.0))
-            };
-            match unit {
+            match a.unit(j) {
                 Some((row, value)) => {
                     if slot[row] != usize::MAX {
                         return Err(WarmFailure::SingularBasis);
@@ -343,7 +338,7 @@ impl UnitLu {
                     }
                 }
             }
-            lu.solve_transposed_into(&self.rhs, &mut self.sol);
+            lu.solve_transposed_into(&mut self.rhs, &mut self.sol);
             for (&i, &y) in self.kernel_rows.iter().zip(&self.sol) {
                 out[i] = y;
             }
@@ -410,29 +405,12 @@ impl BasisFactor {
     }
 }
 
-/// Writes column `j` of the working matrix into `out`: structural/slack
-/// columns come from `a`, artificial column `n + k` is the unit vector on
-/// row `art_rows[k]`.
-fn column_into(a: &SparseMatrix, art_rows: &[usize], j: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    let n = a.num_cols();
-    if j < n {
-        for &(i, v) in a.col(j) {
-            out[i] = v;
-        }
-    } else {
-        out[art_rows[j - n]] = 1.0;
-    }
-}
-
 /// The revised simplex state over one standard-form problem.
 struct Revised<'a> {
     a: &'a SparseMatrix,
     b: &'a [f64],
     m: usize,
     n: usize,
-    /// `art_rows[k]` is the row whose phase-1 artificial is column `n + k`.
-    art_rows: Vec<usize>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     factor: BasisFactor,
@@ -453,23 +431,16 @@ struct Revised<'a> {
 
 impl<'a> Revised<'a> {
     /// Creates the state from an initial basis; fails if `B` is singular.
-    fn new(
-        a: &'a SparseMatrix,
-        b: &'a [f64],
-        basis: Vec<usize>,
-        art_rows: Vec<usize>,
-    ) -> Result<Self, WarmFailure> {
+    fn new(a: &'a SparseMatrix, b: &'a [f64], basis: Vec<usize>) -> Result<Self, WarmFailure> {
         let m = b.len();
         let n = a.num_cols();
         debug_assert_eq!(basis.len(), m);
         let mut in_basis = vec![false; n];
         for &j in &basis {
-            if j < n {
-                in_basis[j] = true;
-            }
+            in_basis[j] = true;
         }
         let factor = BasisFactor {
-            lu: UnitLu::new(a, &art_rows, &basis)?,
+            lu: UnitLu::new(a, &basis)?,
             etas: Vec::new(),
         };
         let mut state = Self {
@@ -477,7 +448,6 @@ impl<'a> Revised<'a> {
             b,
             m,
             n,
-            art_rows,
             basis,
             in_basis,
             factor,
@@ -498,7 +468,7 @@ impl<'a> Revised<'a> {
     fn refactorize(&mut self) -> Result<(), WarmFailure> {
         oic_obs::counter!("lp.refactorizations", "count").incr();
         self.factor.etas.clear();
-        self.factor.lu = UnitLu::new(self.a, &self.art_rows, &self.basis)?;
+        self.factor.lu = UnitLu::new(self.a, &self.basis)?;
         self.factor.ftran(self.b, &mut self.x_b);
         Ok(())
     }
@@ -512,14 +482,9 @@ impl<'a> Revised<'a> {
             *xb -= t * d;
         }
         self.x_b[r] = t;
-        let leaving = self.basis[r];
-        if leaving < self.n {
-            self.in_basis[leaving] = false;
-        }
+        self.in_basis[self.basis[r]] = false;
         self.basis[r] = q;
-        if q < self.n {
-            self.in_basis[q] = true;
-        }
+        self.in_basis[q] = true;
         self.factor.etas.push(Eta {
             pos: r,
             col: self.dir.clone(),
@@ -531,11 +496,10 @@ impl<'a> Revised<'a> {
         Ok(())
     }
 
-    /// Computes the pricing vector `y = B⁻ᵀ c_B` (artificials cost
-    /// `art_cost`, structural column `j` costs `costs[j]`).
-    fn price(&mut self, costs: &[f64], art_cost: f64) {
+    /// Computes the pricing vector `y = B⁻ᵀ c_B`.
+    fn price(&mut self, costs: &[f64]) {
         for (k, &j) in self.basis.iter().enumerate() {
-            self.col_buf[k] = if j < self.n { costs[j] } else { art_cost };
+            self.col_buf[k] = costs[j];
         }
         let Self {
             factor,
@@ -587,24 +551,24 @@ impl<'a> Revised<'a> {
         }
     }
 
-    /// FTRANs structural/artificial column `q` into `self.dir`.
+    /// FTRANs column `q` of `a` into `self.dir`.
     fn ftran_column(&mut self, q: usize) {
-        column_into(self.a, &self.art_rows, q, &mut self.col_buf);
+        self.col_buf.fill(0.0);
+        for &(i, v) in self.a.col(q) {
+            self.col_buf[i] = v;
+        }
         self.factor.ftran(&self.col_buf, &mut self.dir);
     }
 
-    /// Primal simplex loop on the given costs over structural columns.
-    ///
-    /// Artificial columns never *enter* (they only ever start basic and are
-    /// dropped once they leave — the classical phase-1 restriction), so the
-    /// candidate set is always `0..n`.
-    fn primal(&mut self, costs: &[f64], art_cost: f64) -> Result<(), LpError> {
+    /// Primal simplex loop on the given costs, from a primal feasible
+    /// basis.
+    fn primal(&mut self, costs: &[f64]) -> Result<(), LpError> {
         loop {
             if self.iters >= MAX_ITER {
                 return Err(LpError::IterationLimit);
             }
             let bland = self.iters >= BLAND_SWITCH;
-            self.price(costs, art_cost);
+            self.price(costs);
             self.reduced_costs_all(costs);
             // Entering column: Dantzig (most negative reduced cost) with
             // the Bland fallback after BLAND_SWITCH pivots.
@@ -714,7 +678,7 @@ impl<'a> Revised<'a> {
                 // numerically; refactorize and re-enter the loop with
                 // fresh basic values and fresh reduced costs.
                 self.refactorize().map_err(|_| LpError::IterationLimit)?;
-                self.price(costs, 0.0);
+                self.price(costs);
                 self.reduced_costs_all(costs);
                 self.iters += 1;
                 continue;
@@ -725,7 +689,7 @@ impl<'a> Revised<'a> {
             self.pivot(r, q).map_err(|_| LpError::IterationLimit)?;
             if self.factor.etas.is_empty() {
                 // `pivot` refactorized; rebuild the reduced costs exactly.
-                self.price(costs, 0.0);
+                self.price(costs);
                 self.reduced_costs_all(costs);
             } else {
                 for (d, rho) in self.red_costs.iter_mut().zip(&self.row_prod) {
@@ -740,9 +704,7 @@ impl<'a> Revised<'a> {
     fn solution(&self, costs: &[f64]) -> StandardSolution {
         let mut x = vec![0.0; self.n];
         for (k, &j) in self.basis.iter().enumerate() {
-            if j < self.n {
-                x[j] = self.x_b[k];
-            }
+            x[j] = self.x_b[k];
         }
         let objective: f64 = costs.iter().zip(&x).map(|(c, v)| c * v).sum();
         StandardSolution {
@@ -754,88 +716,17 @@ impl<'a> Revised<'a> {
     }
 }
 
-/// Cold two-phase revised solve, mirroring
-/// [`crate::simplex::solve_standard`]'s contract: `b ≥ 0`, `basis_hint`
-/// marks rows whose slack can seed the basis, artificials cover the rest.
-pub(crate) fn solve_revised(
-    sf: &StandardForm,
-    basis_hint: &[Option<usize>],
-) -> Result<StandardSolution, LpError> {
-    let m = sf.b.len();
-    let n = sf.c.len();
-    debug_assert_eq!(basis_hint.len(), m);
-    debug_assert!(sf.b.iter().all(|&bi| bi >= -EPS));
-    if m == 0 {
-        return trivial_unconstrained(sf);
-    }
-
-    let mut art_rows = Vec::new();
-    let mut basis = vec![0usize; m];
-    for (i, hint) in basis_hint.iter().enumerate() {
-        match hint {
-            Some(h) => basis[i] = *h,
-            None => {
-                basis[i] = n + art_rows.len();
-                art_rows.push(i);
-            }
-        }
-    }
-    let has_artificials = !art_rows.is_empty();
-    let a = SparseMatrix::from_dense(&sf.a, n);
-    let mut state =
-        Revised::new(&a, &sf.b, basis, art_rows).map_err(|_| LpError::IterationLimit)?;
-
-    if has_artificials {
-        // ---- Phase 1: minimize the sum of artificials. ----
-        oic_obs::counter!("lp.phase1_entries", "count").incr();
-        let zero_costs = vec![0.0; n];
-        state.primal(&zero_costs, 1.0)?;
-        let infeasibility: f64 = state
-            .basis
-            .iter()
-            .zip(&state.x_b)
-            .filter(|(&j, _)| j >= n)
-            .map(|(_, &v)| v.max(0.0))
-            .sum();
-        if infeasibility > 1e-7 {
-            return Err(LpError::Infeasible);
-        }
-        // Drive zero-level artificials out wherever a structural pivot
-        // exists; rows without one are redundant and keep their artificial
-        // pinned at zero (no structural column can move it, exactly as in
-        // the tableau engine). One BTRAN per artificial row yields the
-        // whole tableau row `e_rᵀB⁻¹A` at once.
-        for r in 0..state.m {
-            if state.basis[r] < n {
-                continue;
-            }
-            state.tableau_row(r);
-            let candidate = (0..n).find(|&j| !state.in_basis[j] && state.row_prod[j].abs() > EPS);
-            if let Some(j) = candidate {
-                state.ftran_column(j);
-                if state.dir[r].abs() > EPS {
-                    state.pivot(r, j).map_err(|_| LpError::IterationLimit)?;
-                }
-            }
-        }
-    }
-
-    // ---- Phase 2 on the original costs. ----
-    state.primal(&sf.c, 0.0)?;
-    Ok(state.solution(&sf.c))
-}
-
-/// Warm-started revised solve from a previous basis.
+/// Warm-started revised solve from a previous basis of structural and
+/// slack columns.
 ///
-/// Unlike the cold entry points, `sf.b` may have **any sign** — this is the
-/// "unflipped" standard form, which keeps the column space stable across a
-/// sequence of perturbed solves. The engine restores optimality with:
+/// `b` may have **any sign** — this is the "unflipped" standard form,
+/// which keeps the column space stable across a sequence of perturbed
+/// solves. The engine restores optimality with:
 ///
-/// * **primal** pivots when the basis is still primal feasible (objective
-///   changed, e.g. the batched support-function loop), or
+/// * **primal** pivots when the basis is still primal feasible (the
+///   objective changed), or
 /// * **dual** pivots when it is still dual feasible (RHS changed, e.g. the
 ///   templated tube-MPC resolve), followed by a primal clean-up pass.
-///
 pub(crate) fn solve_revised_warm(
     a: &SparseMatrix,
     b: &[f64],
@@ -844,30 +735,19 @@ pub(crate) fn solve_revised_warm(
 ) -> WarmOutcome {
     let m = b.len();
     let n = c.len();
-    if m == 0 {
-        let sf = StandardForm {
-            a: Vec::new(),
-            b: Vec::new(),
-            c: c.to_vec(),
-        };
-        return match trivial_unconstrained(&sf) {
-            Ok(sol) => WarmOutcome::Solved(sol),
-            Err(e) => WarmOutcome::Lp(e),
-        };
-    }
     if carry.basis.len() != m || carry.basis.iter().any(|&j| j >= n) {
         return WarmOutcome::Fallback(WarmFailure::NotRestorable);
     }
     debug_assert_eq!(a.num_cols(), n);
     let basis = std::mem::take(&mut carry.basis);
-    let mut state = match Revised::new(a, b, basis, Vec::new()) {
+    let mut state = match Revised::new(a, b, basis) {
         Ok(s) => s,
         Err(f) => return WarmOutcome::Fallback(f),
     };
 
     let primal_feasible = state.x_b.iter().all(|&v| v >= -FEAS_TOL);
     if !primal_feasible {
-        state.price(c, 0.0);
+        state.price(c);
         state.reduced_costs_all(c);
         let dual_feasible = (0..n)
             .filter(|&j| !state.in_basis[j])
@@ -880,9 +760,9 @@ pub(crate) fn solve_revised_warm(
     // is then a no-op, or restores optimality after objective changes when
     // the basis stayed primal feasible.
     let outcome = if primal_feasible {
-        state.primal(c, 0.0)
+        state.primal(c)
     } else {
-        state.dual(c).and_then(|()| state.primal(c, 0.0))
+        state.dual(c).and_then(|()| state.primal(c))
     };
     match outcome {
         Ok(()) => {
@@ -904,22 +784,11 @@ pub(crate) fn solve_revised_warm(
     }
 }
 
-/// Degenerate `m = 0` case: minimize over the non-negative orthant.
-fn trivial_unconstrained(sf: &StandardForm) -> Result<StandardSolution, LpError> {
-    if sf.c.iter().any(|&c| c < -EPS) {
-        return Err(LpError::Unbounded);
-    }
-    Ok(StandardSolution {
-        x: vec![0.0; sf.c.len()],
-        objective: 0.0,
-        iters: 0,
-        basis: Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::simplex::{solve_standard, StandardForm};
 
     fn sf(a: Vec<Vec<f64>>, b: Vec<f64>, c: Vec<f64>) -> StandardForm {
         StandardForm { a, b, c }
@@ -938,69 +807,49 @@ mod tests {
         carry
     }
 
+    /// The carry of the tableau's optimal basis for `sf`, as a cold solve
+    /// through `LinearProgram::solve_warm` seeds it.
+    fn tableau_carry(sf: &StandardForm, hints: &[Option<usize>]) -> WarmCarry {
+        let cold = solve_standard(sf, hints).unwrap();
+        carry_from(
+            cold.structural_basis(sf.c.len())
+                .expect("artificial-free basis"),
+        )
+    }
+
     /// [`solve_revised_warm`] over the sparse form of `a`.
     fn warm_solve(a: &[Vec<f64>], b: &[f64], c: &[f64], carry: &mut WarmCarry) -> WarmOutcome {
         solve_revised_warm(&SparseMatrix::from_dense(a, c.len()), b, c, carry)
     }
 
-    /// min -x1 - x2 s.t. x1 + 2x2 + s1 = 4; 3x1 + x2 + s2 = 6; all ≥ 0.
+    /// min -x1 - x2 s.t. x1 + 2x2 + s1 = 4; 3x1 + x2 + s2 = 6; all ≥ 0,
+    /// by primal pivots from the slack basis.
     #[test]
-    fn cold_matches_tableau_on_basic_lp() {
+    fn primal_from_slack_basis_solves_basic_lp() {
         let sf = sf(
             vec![vec![1.0, 2.0, 1.0, 0.0], vec![3.0, 1.0, 0.0, 1.0]],
             vec![4.0, 6.0],
             vec![-1.0, -1.0, 0.0, 0.0],
         );
-        let sol = solve_revised(&sf, &[Some(2), Some(3)]).unwrap();
+        let sol = unwrap_warm(warm_solve(&sf.a, &sf.b, &sf.c, &mut carry_from(&[2, 3])));
         assert!((sol.objective + 2.8).abs() < 1e-9, "{}", sol.objective);
         assert!((sol.x[0] - 1.6).abs() < 1e-9);
         assert!((sol.x[1] - 1.2).abs() < 1e-9);
     }
 
     #[test]
-    fn cold_equality_constraints_need_phase1() {
-        let sf = sf(
-            vec![vec![1.0, 1.0], vec![1.0, -1.0]],
-            vec![2.0, 0.0],
-            vec![1.0, 1.0],
-        );
-        let sol = solve_revised(&sf, &[None, None]).unwrap();
-        assert!((sol.objective - 2.0).abs() < 1e-9);
-        assert!((sol.x[0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cold_infeasible_detected() {
-        let sf = sf(vec![vec![1.0], vec![1.0]], vec![1.0, 2.0], vec![0.0]);
-        assert_eq!(
-            solve_revised(&sf, &[None, None]).unwrap_err(),
-            LpError::Infeasible
-        );
-    }
-
-    #[test]
-    fn cold_unbounded_detected() {
+    fn primal_from_slack_basis_detects_unbounded() {
         let sf = sf(vec![vec![1.0, -1.0, 1.0]], vec![1.0], vec![-1.0, 0.0, 0.0]);
-        assert_eq!(
-            solve_revised(&sf, &[Some(2)]).unwrap_err(),
-            LpError::Unbounded
-        );
+        assert!(matches!(
+            warm_solve(&sf.a, &sf.b, &sf.c, &mut carry_from(&[2])),
+            WarmOutcome::Lp(LpError::Unbounded)
+        ));
     }
 
+    /// Beale's cycling example: Dantzig pivots cycle from the slack basis,
+    /// so only the Bland switch terminates the solve.
     #[test]
-    fn cold_redundant_rows_handled() {
-        let sf = sf(
-            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
-            vec![2.0, 2.0],
-            vec![1.0, 2.0],
-        );
-        let sol = solve_revised(&sf, &[None, None]).unwrap();
-        assert!((sol.objective - 2.0).abs() < 1e-9);
-        assert!((sol.x[0] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cold_beale_degenerate_terminates() {
+    fn primal_beale_degenerate_terminates() {
         let sf = sf(
             vec![
                 vec![0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
@@ -1010,8 +859,9 @@ mod tests {
             vec![0.0, 0.0, 1.0],
             vec![-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0],
         );
-        let sol = solve_revised(&sf, &[Some(4), Some(5), Some(6)]).unwrap();
+        let sol = unwrap_warm(warm_solve(&sf.a, &sf.b, &sf.c, &mut carry_from(&[4, 5, 6])));
         assert!((sol.objective + 0.05).abs() < 1e-9, "{}", sol.objective);
+        assert!(sol.iters >= BLAND_SWITCH, "{} pivots", sol.iters);
     }
 
     #[test]
@@ -1022,10 +872,8 @@ mod tests {
             vec![4.0, 6.0],
             vec![-1.0, -1.0, 0.0, 0.0],
         );
-        let cold = solve_revised(&base, &[Some(2), Some(3)]).unwrap();
-        assert!((cold.objective + 10.0).abs() < 1e-9);
         // Tighten the RHS: the previous basis stays dual feasible.
-        let mut carry = carry_from(&cold.basis);
+        let mut carry = tableau_carry(&base, &[Some(2), Some(3)]);
         let b2 = vec![2.5, 1.5];
         let warm = unwrap_warm(warm_solve(&base.a, &b2, &base.c, &mut carry));
         assert!((warm.objective + 4.0).abs() < 1e-9, "{}", warm.objective);
@@ -1045,13 +893,12 @@ mod tests {
             vec![4.0, 1.0],
             vec![-1.0, 0.0, 0.0, 0.0],
         );
-        let cold = solve_revised(&base, &[Some(2), Some(3)]).unwrap();
         // New objective rewards x2 instead; the basis stays primal feasible.
         let c2 = vec![0.0, -1.0, 0.0, 0.0];
-        let mut carry = carry_from(&cold.basis);
+        let mut carry = tableau_carry(&base, &[Some(2), Some(3)]);
         let warm = unwrap_warm(warm_solve(&base.a, &base.b, &c2, &mut carry));
         let retarget = sf(base.a.clone(), base.b.clone(), c2);
-        let direct = solve_revised(&retarget, &[Some(2), Some(3)]).unwrap();
+        let direct = solve_standard(&retarget, &[Some(2), Some(3)]).unwrap();
         assert!((warm.objective - direct.objective).abs() < 1e-9);
     }
 
@@ -1066,9 +913,7 @@ mod tests {
         );
         // Seed with the optimal basis of a nearby all-positive problem.
         let near = sf(tight.a.clone(), vec![3.0, 2.0], tight.c.clone());
-        let cold = solve_revised(&near, &[Some(2), Some(3)]).unwrap();
-        assert!((cold.objective + 3.0).abs() < 1e-9);
-        let mut carry = carry_from(&cold.basis);
+        let mut carry = tableau_carry(&near, &[Some(2), Some(3)]);
         let warm = unwrap_warm(warm_solve(&tight.a, &tight.b, &tight.c, &mut carry));
         assert!((warm.objective + 3.0).abs() < 1e-9, "{}", warm.objective);
     }
@@ -1097,18 +942,13 @@ mod tests {
             vec![5.0, -2.0],
             vec![1.0, 0.0, 0.0],
         );
-        // Cold-solve the flipped version to get a basis.
+        // Cold-solve the flipped version on the tableau to get a basis.
         let flipped = sf(
             vec![vec![1.0, 1.0, 0.0], vec![1.0, 0.0, -1.0]],
             vec![5.0, 2.0],
             vec![1.0, 0.0, 0.0],
         );
-        let cold = solve_revised(&flipped, &[Some(1), None]).unwrap();
-        assert!((cold.objective - 2.0).abs() < 1e-9);
-        let Some(basis) = cold.structural_basis(3) else {
-            panic!("expected artificial-free basis");
-        };
-        let mut carry = carry_from(basis);
+        let mut carry = tableau_carry(&flipped, &[Some(1), None]);
         let warm = unwrap_warm(warm_solve(
             &feasible.a,
             &feasible.b,
@@ -1135,7 +975,7 @@ mod tests {
     #[test]
     fn eta_refactorization_stays_accurate() {
         // A chain long enough to force several refactorizations.
-        let n = 30;
+        let n = 100;
         let mut a = Vec::new();
         let mut b = Vec::new();
         for i in 0..n {
@@ -1148,10 +988,16 @@ mod tests {
         }
         let mut c = vec![-1.0; n];
         c.extend(vec![0.0; n]);
-        let hints: Vec<Option<usize>> = (0..n).map(|i| Some(n + i)).collect();
+        let slacks: Vec<usize> = (n..2 * n).collect();
+        let hints: Vec<Option<usize>> = slacks.iter().map(|&j| Some(j)).collect();
         let sf = StandardForm { a, b, c };
-        let revised = solve_revised(&sf, &hints).unwrap();
-        let tableau = crate::simplex::solve_standard(&sf, &hints).unwrap();
+        let revised = unwrap_warm(warm_solve(&sf.a, &sf.b, &sf.c, &mut carry_from(&slacks)));
+        let tableau = solve_standard(&sf, &hints).unwrap();
+        assert!(
+            revised.iters > 2 * REFACTOR_LIMIT,
+            "{} pivots",
+            revised.iters
+        );
         assert!(
             (revised.objective - tableau.objective).abs() < 1e-7,
             "revised {} vs tableau {}",
@@ -1160,25 +1006,20 @@ mod tests {
         );
     }
 
-    /// `UnitLu` over the working matrix `a` (plus artificials on
-    /// `art_rows`) for `basis`.
-    fn unit_lu(a: &[Vec<f64>], art_rows: &[usize], basis: &[usize]) -> Result<UnitLu, WarmFailure> {
-        UnitLu::new(&SparseMatrix::from_dense(a, a[0].len()), art_rows, basis)
+    /// `UnitLu` over the matrix `a` for `basis`.
+    fn unit_lu(a: &[Vec<f64>], basis: &[usize]) -> Result<UnitLu, WarmFailure> {
+        UnitLu::new(&SparseMatrix::from_dense(a, a[0].len()), basis)
     }
 
     #[test]
     fn unit_columns_on_one_row_are_a_singular_basis() {
-        // Columns: e₀, 2e₀, a dense column; artificial column 3 sits on row 0.
+        // Columns: e₀, 2e₀, a dense column.
         let a = vec![vec![1.0, 2.0, 1.0], vec![0.0, 0.0, 1.0]];
         assert!(matches!(
-            unit_lu(&a, &[0], &[0, 1]),
+            unit_lu(&a, &[0, 1]),
             Err(WarmFailure::SingularBasis)
         ));
-        assert!(matches!(
-            unit_lu(&a, &[0], &[3, 0]),
-            Err(WarmFailure::SingularBasis)
-        ));
-        assert!(unit_lu(&a, &[0], &[0, 2]).is_ok());
+        assert!(unit_lu(&a, &[0, 2]).is_ok());
     }
 
     #[test]
@@ -1191,7 +1032,7 @@ mod tests {
             vec![1.0, 5.0, 1.0],
         ];
         assert!(matches!(
-            unit_lu(&a, &[], &[0, 1, 2]),
+            unit_lu(&a, &[0, 1, 2]),
             Err(WarmFailure::SingularBasis)
         ));
     }
@@ -1287,7 +1128,7 @@ mod tests {
                 }
                 *r = acc;
             }
-            lu.solve_transposed_into(&factor.rhs, &mut factor.sol);
+            lu.solve_transposed_into(&mut factor.rhs, &mut factor.sol);
             for (&i, &y) in factor.kernel_rows.iter().zip(&factor.sol) {
                 out[i] = y;
             }
@@ -1303,19 +1144,18 @@ mod tests {
     use oic_linalg::Matrix;
     use proptest::prelude::*;
 
-    /// A random basis problem: the working matrix, the artificial rows,
-    /// the basis, and the FTRAN/BTRAN right-hand sides.
+    /// A random basis problem: the matrix, the basis, and the FTRAN/BTRAN
+    /// right-hand sides.
     #[derive(Debug)]
     struct BasisCase {
         a: Vec<Vec<f64>>,
-        art_rows: Vec<usize>,
         basis: Vec<usize>,
         v: Vec<f64>,
         c: Vec<f64>,
     }
 
     /// Random bases with exact zeros. Per row: a kind (0 structural, 1
-    /// slack, 2 artificial) and a slack sign. The matrix has `k + 1`
+    /// slack) and a slack sign. The matrix has `k + 1`
     /// structural columns, `k` the number of structural rows: column `t`
     /// is diagonally dominant on the `t`-th structural row (the last one
     /// never enters). One `±1` slack per row follows. Off-diagonal
@@ -1327,7 +1167,7 @@ mod tests {
             .prop_flat_map(|m| {
                 (
                     (
-                        prop::collection::vec(0usize..3, m),
+                        prop::collection::vec(0usize..2, m),
                         prop::collection::vec(prop::bool::ANY, m),
                         prop::collection::vec(0.0f64..1.0, m),
                     ),
@@ -1356,12 +1196,10 @@ mod tests {
                 for i in 0..m {
                     a[i][k + 1 + i] = if signs[i] { 1.0 } else { -1.0 };
                 }
-                let art_rows: Vec<usize> = (0..m).filter(|&i| kinds[i] == 2).collect();
                 let columns: Vec<usize> = (0..m)
                     .map(|i| match kinds[i] {
                         0 => kernel_rows.iter().position(|&r| r == i).unwrap(),
-                        1 => k + 1 + i,
-                        _ => n + art_rows.iter().position(|&r| r == i).unwrap(),
+                        _ => k + 1 + i,
                     })
                     .collect();
                 let mut order: Vec<usize> = (0..m).collect();
@@ -1374,7 +1212,6 @@ mod tests {
                     .collect();
                 BasisCase {
                     a,
-                    art_rows,
                     basis: order.iter().map(|&p| columns[p]).collect(),
                     v: rhs[..m].to_vec(),
                     c: rhs[m..].to_vec(),
@@ -1390,23 +1227,19 @@ mod tests {
         /// the basic columns that are not unit columns.
         #[test]
         fn unit_factor_matches_dense_lu(case in random_basis()) {
-            let BasisCase { a, art_rows, basis, v, c } = &case;
+            let BasisCase { a, basis, v, c } = &case;
             let m = basis.len();
             let n = a[0].len();
             let mut dense = Matrix::zeros(m, m);
             for (pos, &j) in basis.iter().enumerate() {
-                if j < n {
-                    for i in 0..m {
-                        dense[(i, pos)] = a[i][j];
-                    }
-                } else {
-                    dense[(art_rows[j - n], pos)] = 1.0;
+                for i in 0..m {
+                    dense[(i, pos)] = a[i][j];
                 }
             }
             let lu = LuDecomposition::new(&dense).expect("dominant basis is nonsingular");
-            let mut factor = unit_lu(a, art_rows, basis).expect("unit factor of a nonsingular basis");
+            let mut factor = unit_lu(a, basis).expect("unit factor of a nonsingular basis");
             let units = unit_columns(a, n);
-            let kernel = basis.iter().filter(|&&j| j < n && units[j].is_none()).count();
+            let kernel = basis.iter().filter(|&&j| units[j].is_none()).count();
             prop_assert_eq!(factor.kernel_pos.len(), kernel);
 
             let mut out = vec![0.0; m];
@@ -1425,7 +1258,7 @@ mod tests {
         /// coupling loops bit for bit.
         #[test]
         fn sparse_coupling_matches_dense_loops_bit_for_bit(case in random_basis()) {
-            let BasisCase { a, art_rows, basis, v, c } = &case;
+            let BasisCase { a, basis, v, c } = &case;
             let m = basis.len();
             let n = a[0].len();
             let sparse = SparseMatrix::from_dense(a, n);
@@ -1433,7 +1266,7 @@ mod tests {
             for (j, unit) in units.iter().enumerate() {
                 prop_assert_eq!(sparse.unit(j), *unit, "unit structure of column {}", j);
             }
-            let mut factor = UnitLu::new(&sparse, art_rows, basis)
+            let mut factor = UnitLu::new(&sparse, basis)
                 .expect("unit factor of a nonsingular basis");
             let (mut got, mut want) = (vec![0.0; m], vec![0.0; m]);
             factor.ftran(v, &mut got);

@@ -1,6 +1,6 @@
 //! Property-based tests of the LP and MILP solvers.
 
-use oic_lp::{Backend, LinearProgram, LpError, MixedIntegerProgram, WarmStart};
+use oic_lp::{LinearProgram, LpError, MixedIntegerProgram, WarmStart};
 use proptest::prelude::*;
 
 /// Strategy: a bounded LP over `n` box-bounded variables with random
@@ -101,70 +101,6 @@ proptest! {
         }
     }
 
-    /// The revised backend agrees with the tableau backend: identical
-    /// feasibility verdicts, objectives within 1e-7.
-    #[test]
-    fn revised_agrees_with_tableau((costs, rows) in random_lp(4, 8)) {
-        let build = |backend: Backend| {
-            let mut lp = LinearProgram::minimize(&costs);
-            lp.set_backend(backend);
-            for i in 0..costs.len() {
-                lp.set_bounds(i, -10.0, 10.0);
-            }
-            for (row, rhs) in &rows {
-                lp.add_le(row, *rhs);
-            }
-            lp.solve()
-        };
-        match (build(Backend::Tableau), build(Backend::Revised)) {
-            (Ok(t), Ok(r)) => {
-                prop_assert!(
-                    (t.objective() - r.objective()).abs() < 1e-7,
-                    "objective mismatch: tableau {} vs revised {}",
-                    t.objective(),
-                    r.objective()
-                );
-                // Both points must be feasible for the same constraints.
-                for (row, rhs) in &rows {
-                    let lhs: f64 = row.iter().zip(r.x()).map(|(a, x)| a * x).sum();
-                    prop_assert!(lhs <= rhs + 1e-6, "revised point infeasible");
-                }
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "verdicts must agree"),
-            (t, r) => prop_assert!(false, "backend disagreement: {t:?} vs {r:?}"),
-        }
-    }
-
-    /// Backend agreement on degenerate problems with redundant rows: every
-    /// constraint is duplicated (and once more with scaled coefficients).
-    #[test]
-    fn revised_agrees_with_tableau_on_redundant_rows((costs, rows) in random_lp(3, 4)) {
-        let build = |backend: Backend| {
-            let mut lp = LinearProgram::minimize(&costs);
-            lp.set_backend(backend);
-            for i in 0..costs.len() {
-                lp.set_bounds(i, -6.0, 6.0);
-            }
-            for (row, rhs) in &rows {
-                lp.add_le(row, *rhs);
-                lp.add_le(row, *rhs); // exact duplicate
-                let scaled: Vec<f64> = row.iter().map(|v| 2.0 * v).collect();
-                lp.add_le(&scaled, 2.0 * rhs); // scaled duplicate
-            }
-            lp.solve()
-        };
-        match (build(Backend::Tableau), build(Backend::Revised)) {
-            (Ok(t), Ok(r)) => prop_assert!(
-                (t.objective() - r.objective()).abs() < 1e-7,
-                "objective mismatch: {} vs {}",
-                t.objective(),
-                r.objective()
-            ),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (t, r) => prop_assert!(false, "backend disagreement: {t:?} vs {r:?}"),
-        }
-    }
-
     /// A warm-started solve equals a cold solve on every element of a
     /// perturbed-RHS sequence (the templated-MPC resolve pattern).
     #[test]
@@ -173,7 +109,6 @@ proptest! {
         deltas in prop::collection::vec(prop::collection::vec(-0.5f64..0.5, 10), 6),
     ) {
         let mut lp = LinearProgram::minimize(&costs);
-        lp.set_backend(Backend::Revised);
         for i in 0..costs.len() {
             lp.set_bounds(i, -10.0, 10.0);
         }
@@ -200,6 +135,42 @@ proptest! {
                 (w, c) => prop_assert!(false, "warm/cold disagreement: {w:?} vs {c:?}"),
             }
         }
+    }
+
+    /// After an objective change a warm solve (primal pivots from the
+    /// carried basis) and a cold tableau solve give the same verdict and
+    /// objectives within 1e-7.
+    #[test]
+    fn warm_start_equals_cold_after_objective_change(
+        (costs, rows) in random_lp(4, 10),
+        retarget in prop::collection::vec(-5.0f64..5.0, 4),
+    ) {
+        let mut lp = LinearProgram::minimize(&costs);
+        for i in 0..costs.len() {
+            lp.set_bounds(i, -10.0, 10.0);
+        }
+        for (row, rhs) in &rows {
+            lp.add_le(row, *rhs);
+        }
+        let mut warm = WarmStart::new();
+        if lp.solve_warm(&mut warm).is_err() {
+            // Infeasible: the carried basis is not primal feasible, so
+            // the objective change has nothing to warm-start from.
+            return Ok(());
+        }
+        lp.set_objective(&retarget);
+        let hits = warm.warm_hits();
+        match (lp.solve_warm(&mut warm), lp.solve()) {
+            (Ok(w), Ok(c)) => prop_assert!(
+                (w.objective() - c.objective()).abs() < 1e-7,
+                "warm {} vs cold {}",
+                w.objective(),
+                c.objective()
+            ),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (w, c) => prop_assert!(false, "warm/cold disagreement: {w:?} vs {c:?}"),
+        }
+        prop_assert_eq!(warm.warm_hits(), hits + 1, "the second solve ran warm");
     }
 
     /// MILP == exhaustive enumeration over the binary assignments.

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example scenario_batch`
 
-use oic::engine::{run_batch_with_stats, BatchConfig, PolicySpec};
+use oic::engine::{run_batch_opts, BatchConfig, PolicySpec, SweepOptions};
 use oic::scenarios::ScenarioRegistry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nstreaming {} episodes x {} steps per (scenario, policy) cell through the work-stealing pool...\n",
         config.episodes, config.steps
     );
-    let (report, stats) = run_batch_with_stats(&registry, &policies, &config)?;
+    let (report, stats) = run_batch_opts(&registry, &policies, &config, &SweepOptions::default())?;
     print!("{}", report.render_table());
     println!(
         "\ntotal safety violations: {} (Theorem 1 holds on every scenario)",

@@ -11,8 +11,8 @@
 
 use oic::core::RunStats;
 use oic::engine::{
-    run_batch, run_batch_with_stats, BatchConfig, CellAccumulator, CellReport, EpisodeRecord,
-    PolicySpec,
+    run_batch, run_batch_opts, BatchConfig, CellAccumulator, CellReport, EpisodeRecord, PolicySpec,
+    SweepOptions,
 };
 use oic::scenarios::{
     DcMotorScenario, DoubleIntegratorScenario, PendulumCartScenario, QuadrotorAltScenario,
@@ -154,8 +154,13 @@ fn hundred_thousand_episode_sweep_streams_without_episode_records() {
         detail: false,
         ..Default::default()
     };
-    let (report, stats) =
-        run_batch_with_stats(&registry, &[PolicySpec::BangBang], &config).unwrap();
+    let (report, stats) = run_batch_opts(
+        &registry,
+        &[PolicySpec::BangBang],
+        &config,
+        &SweepOptions::default(),
+    )
+    .unwrap();
     assert_eq!(report.cells.len(), 1);
     let cell = &report.cells[0];
     assert_eq!(cell.episodes, 100_000);
