@@ -160,19 +160,34 @@ pub fn dropout_specs(scale: &ExperimentScale) -> Result<Vec<DropoutSpec>, String
 /// # Errors
 ///
 /// Returns a human-readable message for unreadable files, malformed
-/// JSON, or out-of-range rates.
+/// JSON, a document that is not an object or has a key other than the
+/// three or one of them twice, a seed that is not an exact non-negative
+/// integer or decimal string, or out-of-range rates.
 pub fn load_fault_plan(path: &str) -> Result<FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read fault plan {path:?}: {e}"))?;
     let doc = JsonValue::parse(&text).map_err(|e| format!("fault plan {path:?}: {e}"))?;
+    let entries = doc
+        .as_object()
+        .ok_or_else(|| format!("fault plan {path:?}: must be a JSON object"))?;
+    for (i, (key, _)) in entries.iter().enumerate() {
+        if !matches!(key.as_str(), "seed" | "panic_rate" | "nan_rate") {
+            return Err(format!(
+                "fault plan {path:?}: unknown key {key:?} (expected seed, panic_rate, nan_rate)"
+            ));
+        }
+        if entries[..i].iter().any(|(earlier, _)| earlier == key) {
+            return Err(format!("fault plan {path:?}: key {key:?} appears twice"));
+        }
+    }
     let seed = match doc.get("seed") {
-        Some(JsonValue::Number(n)) => *n as u64,
-        Some(value) => value
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("fault plan {path:?}: seed must be a u64"))?,
-        None => 0,
-    };
+        Some(JsonValue::String(s)) => s.parse().ok(),
+        Some(value) => value.as_usize().map(|n| n as u64),
+        None => Some(0),
+    }
+    .ok_or_else(|| {
+        format!("fault plan {path:?}: seed must be a non-negative integer or a decimal string")
+    })?;
     let rate = |key: &str| -> Result<f64, String> {
         match doc.get(key) {
             Some(value) => value
@@ -466,10 +481,30 @@ mod tests {
         assert!((plan.panic_rate - 1.0).abs() < 1e-12);
 
         let bad = dir.join("bad.json");
-        std::fs::write(&bad, r#"{"panic_rate": 0.8, "nan_rate": 0.8}"#).unwrap();
-        assert!(load_fault_plan(&bad.display().to_string())
-            .unwrap_err()
-            .contains("exceed"));
+        let load_bad = |doc: &str| {
+            std::fs::write(&bad, doc).unwrap();
+            load_fault_plan(&bad.display().to_string())
+        };
+        assert_eq!(load_bad(r#"{"seed": 7}"#).unwrap().seed, 7);
+        for (doc, why) in [
+            (r#"{"panic_rate": 0.8, "nan_rate": 0.8}"#, "exceed"),
+            // A seed is never coerced: no sign, fraction or saturation.
+            (r#"{"seed": -3}"#, "seed must be"),
+            (r#"{"seed": 2.5}"#, "seed must be"),
+            (r#"{"seed": 1e30}"#, "seed must be"),
+            (r#"{"seed": "-3"}"#, "seed must be"),
+            (r#"{"seed": true}"#, "seed must be"),
+            // A misspelt rate is not a fault-free plan.
+            (
+                r#"{"seed": 1, "panic_rat": 0.5}"#,
+                "unknown key \"panic_rat\"",
+            ),
+            (r#"{"panic_rate": 0.0, "panic_rate": 1.0}"#, "appears twice"),
+            (r#"[0.5]"#, "must be a JSON object"),
+        ] {
+            let err = load_bad(doc).unwrap_err();
+            assert!(err.contains(why), "{doc}: {err}");
+        }
         assert!(load_fault_plan("/nonexistent/plan.json")
             .unwrap_err()
             .contains("cannot read"));

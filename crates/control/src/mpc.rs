@@ -88,7 +88,7 @@ enum RhsSpec {
 
 /// The tube-MPC optimization compiled once at construction: variable
 /// layout, every constraint row, and the cost vector live in `lp` (whose
-/// warm-start form is compiled at build, so all clones of a controller
+/// standard form is compiled at build, so all clones of a controller
 /// share it); per step only the RHS vector is recomputed from `rhs_spec`
 /// and the LP is re-solved (warm-started when the caller carries an
 /// [`MpcWarmState`]).
@@ -357,7 +357,7 @@ impl TubeMpcBuilder {
             &terminal,
             &impulse,
         );
-        template.lp.compile_warm_form()?;
+        template.lp.compile_form()?;
 
         Ok(TubeMpc {
             plant: self.plant,

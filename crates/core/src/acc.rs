@@ -156,15 +156,6 @@ impl AccCaseStudy {
         [sample[0], sample[1]]
     }
 
-    /// Builds the runtime (Algorithm 1) around the case study's MPC.
-    pub fn intermittent_controller(
-        &self,
-        policy: Box<dyn SkipPolicy>,
-        memory: usize,
-    ) -> IntermittentController<TubeMpc> {
-        IntermittentController::new(self.mpc.clone(), self.sets.clone(), policy, memory)
-    }
-
     /// Runs one closed-loop episode against the traffic simulator.
     ///
     /// The front model's velocity trace is materialized up front so the

@@ -132,11 +132,6 @@ impl<C: Controller, P: SkipPolicy> IntermittentController<C, P> {
         &self.controller
     }
 
-    /// Display name of the active skipping policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Statistics accumulated since construction (or the last
     /// [`reset`](Self::reset)).
     pub fn stats(&self) -> &RunStats {

@@ -217,10 +217,10 @@ pub fn cell_hash_canonical(
 /// The wire form of one batch request: which scenarios, which policies,
 /// and the engine knobs that shape results.
 ///
-/// This is the document `POST /v1/sweep` accepts (`docs/PROTOCOL.md`)
-/// and what the bench `batch` bin builds from its command line; both
-/// paths share [`SweepSpec::to_config`] so a served sweep and an
-/// offline sweep of the same spec produce byte-identical cells.
+/// This is the document `POST /v1/sweep` accepts (`docs/PROTOCOL.md`),
+/// turned into a [`BatchConfig`] by [`SweepSpec::to_config`]. The bench
+/// `batch` bin does not go through it: it builds its config from its
+/// command line (`oic_bench::experiments::batch::config`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Requested scenario names. Empty means "every registered
@@ -398,16 +398,6 @@ impl SweepSpec {
         });
         if self.dropouts.len() == 1 && self.dropouts[0].is_none() {
             self.dropouts.clear();
-        }
-    }
-
-    /// The dropout variants a sweep actually runs: the requested axis,
-    /// or the single fault-free `none` variant when the axis is empty.
-    pub fn effective_dropouts(&self) -> Vec<DropoutSpec> {
-        if self.dropouts.is_empty() {
-            vec![DropoutSpec::None]
-        } else {
-            self.dropouts.clone()
         }
     }
 

@@ -6,20 +6,23 @@
 //! solver for the model-based skipping policy (paper Eq. (6)). No solver
 //! crates are available offline, so this crate implements both from scratch:
 //!
-//! * [`LinearProgram`] — a simplex with one engine per job. Cold solves
-//!   run a dense, two-phase primal tableau with Bland's rule as an
-//!   anti-cycling fallback (the bit-stable reference every committed
-//!   baseline is recorded against). Warm-started resolve sequences
+//! * [`LinearProgram`] — a simplex with one engine per job over one
+//!   standard form per program structure, compiled by its nonzeros on
+//!   the first solve and shared with later clones. Cold solves scatter
+//!   it into a dense, two-phase primal tableau (negating the rows with a
+//!   negative right-hand side) with Bland's rule as an anti-cycling
+//!   fallback: the bit-stable reference every committed baseline is
+//!   recorded against. Warm-started resolve sequences
 //!   ([`LinearProgram::solve_warm`]) re-solve from the previous solve's
-//!   basis on a **revised** simplex over the standard form stored by its
-//!   nonzeros (a basis factored through its unit columns with a sparse
-//!   coupling block, a product-form eta file, primal and dual
-//!   iterations); without a usable basis they fall back to a cold
-//!   tableau solve. The revised engine's sparse passes skip only exact
-//!   zeros, in the dense accumulation order, so they pivot exactly as a
-//!   dense sweep would. Variables are **free by default** (the geometry
-//!   code works with unconstrained coordinates); bounds and
-//!   equality/inequality constraints are added explicitly.
+//!   basis on a **revised** simplex over the same sparse form (a basis
+//!   factored through its unit columns with a sparse coupling block, a
+//!   product-form eta file, primal and dual iterations); without a
+//!   usable basis they fall back to a cold tableau solve. The revised
+//!   engine's sparse passes skip only exact zeros, in the dense
+//!   accumulation order, so they pivot exactly as a dense sweep would.
+//!   Variables are **free by default** (the geometry code works with
+//!   unconstrained coordinates); bounds and equality/inequality
+//!   constraints are added explicitly.
 //! * [`MixedIntegerProgram`] — best-first branch-and-bound over binary
 //!   variables with LP relaxations.
 //!

@@ -123,11 +123,6 @@ impl MixedIntegerProgram {
         }
     }
 
-    /// Read access to the underlying relaxation.
-    pub fn linear_program(&self) -> &LinearProgram {
-        &self.lp
-    }
-
     /// Indices of the binary variables.
     pub fn binary_vars(&self) -> &[usize] {
         &self.binary

@@ -1,12 +1,13 @@
-//! User-facing linear-program builder. A cold solve ([`LinearProgram::solve`])
-//! runs the dense two-phase tableau; a warm one
-//! ([`LinearProgram::solve_warm`]) re-solves on the revised engine from the
-//! basis the previous solve left behind.
+//! User-facing linear-program builder. Every solve reads one standard form
+//! per program structure, compiled by its nonzeros on first use: a cold
+//! solve ([`LinearProgram::solve`]) runs the dense two-phase tableau on it,
+//! and a warm one ([`LinearProgram::solve_warm`]) re-solves on the revised
+//! engine from the basis the previous solve left behind.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::revised::{solve_revised_warm, SparseMatrix, WarmCarry, WarmOutcome};
-use crate::simplex::{solve_standard, StandardForm, StandardSolution};
+use crate::simplex::{solve_standard, StandardSolution};
 use crate::LpError;
 
 /// Direction of a linear constraint.
@@ -74,11 +75,6 @@ impl WarmStart {
         self.carry.clear();
     }
 
-    /// Whether a basis is currently carried.
-    pub fn has_basis(&self) -> bool {
-        !self.carry.is_empty()
-    }
-
     /// Total solves routed through this warm start.
     pub fn solves(&self) -> u64 {
         self.solves
@@ -126,26 +122,48 @@ enum VarMap {
     Split(usize, usize),
 }
 
-/// A standardized problem plus everything needed to map solutions back.
-struct Standardized {
-    sf: StandardForm,
-    hints: Vec<Option<usize>>,
-    var_map: Vec<VarMap>,
-    obj_constant: f64,
-    /// Structural + slack column count (basis indices below this are
-    /// warm-start reusable).
-    total: usize,
+/// Substitutes `coeffs · x` into standard variables: `put(j, v)` receives
+/// each term `v · y_j`, ascending in `j`, and the constant term is
+/// returned.
+fn substitute(var_map: &[VarMap], coeffs: &[f64], mut put: impl FnMut(usize, f64)) -> f64 {
+    let mut constant = 0.0;
+    for (&ci, map) in coeffs.iter().zip(var_map) {
+        if ci == 0.0 {
+            continue;
+        }
+        match *map {
+            VarMap::Shifted(j, l) => {
+                put(j, ci);
+                constant += ci * l;
+            }
+            VarMap::Mirrored(j, u) => {
+                put(j, -ci);
+                constant += ci * u;
+            }
+            VarMap::Split(jp, jm) => {
+                put(jp, ci);
+                put(jm, -ci);
+            }
+        }
+    }
+    constant
 }
 
-/// The shape-stable (unflipped) standard form, compiled once per program
-/// structure: across an RHS/objective-perturbed resolve sequence only the
-/// `b` and `c` vectors are reassembled per solve.
+/// The standard form `min cᵀy, Ay = b, y ≥ 0` of one program structure,
+/// compiled once and read by every solve: per solve only the `b` and `c`
+/// vectors are assembled. `b` keeps its sign (the cold tableau negates the
+/// rows it needs to), so the column space does not depend on the RHS
+/// values, which is what makes a basis reusable across a warm-started
+/// resolve sequence.
 #[derive(Debug)]
 struct CompiledForm {
-    /// The constraint matrix, by its nonzeros.
+    /// The constraint matrix, by its nonzeros: one row per user
+    /// constraint (`Ge` rows negated), then one per two-sided bound; every
+    /// `≤` row owns a `+1` slack column after the structural ones.
     a: SparseMatrix,
     var_map: Vec<VarMap>,
-    total: usize,
+    /// Per row: its slack column (`None` for `Eq` rows).
+    slack: Vec<Option<usize>>,
     /// Per user constraint: row orientation (−1 for `Ge` rows).
     sign: Vec<f64>,
     /// Per user constraint: substitution constant subtracted from the RHS.
@@ -174,27 +192,8 @@ impl CompiledForm {
 
     /// Substitutes the current costs into standard variables.
     fn cost_vector(&self, lp: &LinearProgram) -> (Vec<f64>, f64) {
-        let mut c = vec![0.0; self.total];
-        let mut constant = 0.0;
-        for (i, &ci) in lp.costs.iter().enumerate() {
-            if ci == 0.0 {
-                continue;
-            }
-            match self.var_map[i] {
-                VarMap::Shifted(j, l) => {
-                    c[j] += ci;
-                    constant += ci * l;
-                }
-                VarMap::Mirrored(j, u) => {
-                    c[j] -= ci;
-                    constant += ci * u;
-                }
-                VarMap::Split(jp, jm) => {
-                    c[jp] += ci;
-                    c[jm] -= ci;
-                }
-            }
-        }
+        let mut c = vec![0.0; self.a.num_cols()];
+        let constant = substitute(&self.var_map, &lp.costs, |j, v| c[j] = v);
         (c, constant)
     }
 }
@@ -358,22 +357,6 @@ impl LinearProgram {
         self.add_constraint(coeffs, Relation::Eq, rhs)
     }
 
-    /// Replaces the right-hand side of constraint `i` (in insertion order).
-    ///
-    /// Together with [`solve_warm`](Self::solve_warm) this is the cheap
-    /// path for RHS-perturbed resolve sequences: the constraint matrix is
-    /// left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `rhs` is not finite.
-    pub fn set_rhs(&mut self, i: usize, rhs: f64) -> &mut Self {
-        assert!(i < self.constraints.len(), "constraint index out of range");
-        assert!(rhs.is_finite(), "rhs must be finite");
-        self.constraints[i].rhs = rhs;
-        self
-    }
-
     /// Replaces the objective coefficients, keeping the orientation the
     /// program was built with (`costs` is interpreted exactly like the
     /// constructor argument).
@@ -437,44 +420,59 @@ impl LinearProgram {
         self.set_upper_bound(i, hi)
     }
 
-    /// Converts to standard form `min cᵀy, Ay = b, y ≥ 0`.
-    ///
-    /// With `flip = true` rows with negative RHS are negated so `b ≥ 0`
-    /// (the two-phase entry contract; flipped `≤`-rows lose their slack
-    /// basis hint). With `flip = false` the RHS keeps its sign and every
-    /// `≤`-row keeps a `+1` slack — the *shape-stable* form whose column
-    /// space does not depend on the RHS values, which is what makes a basis
-    /// reusable across a warm-started resolve sequence.
-    ///
-    /// `rhs_override`, when given, replaces the stored constraint RHS
-    /// values (one per constraint, bounds excluded).
-    fn standardize(
-        &self,
-        rhs_override: Option<&[f64]>,
-        flip: bool,
-    ) -> Result<Standardized, LpError> {
-        let n = self.num_vars();
-        if let Some(rhs) = rhs_override {
-            assert_eq!(
-                rhs.len(),
-                self.constraints.len(),
-                "rhs override length mismatch"
-            );
+    /// Maps a standard-form solution back to user variables.
+    fn finish(&self, var_map: &[VarMap], obj_constant: f64, sol: &StandardSolution) -> LpSolution {
+        let mut x = vec![0.0; self.num_vars()];
+        for (i, vm) in var_map.iter().enumerate() {
+            x[i] = match *vm {
+                VarMap::Shifted(j, l) => l + sol.x[j],
+                VarMap::Mirrored(j, u) => u - sol.x[j],
+                VarMap::Split(jp, jm) => sol.x[jp] - sol.x[jm],
+            };
         }
+        let mut objective = sol.objective + obj_constant;
+        if self.maximize {
+            objective = -objective;
+        }
+        LpSolution { x, objective }
+    }
 
-        // --- Variable substitution to non-negative standard variables. ---
-        let mut var_map = Vec::with_capacity(n);
+    /// Compiles the standard form every solve reads now instead of on the
+    /// first solve, so that every clone made afterwards shares this one
+    /// form (by reference count) rather than compiling its own.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::Infeasible`] when a variable's bounds cross.
+    pub fn compile_form(&self) -> Result<(), LpError> {
+        self.form().map(|_| ())
+    }
+
+    /// The compiled form of the current structure, compiled on first use.
+    fn form(&self) -> Result<&CompiledForm, LpError> {
+        if let Some(form) = self.compiled.get() {
+            return Ok(form);
+        }
+        let form = Arc::new(self.compile()?);
+        Ok(self.compiled.get_or_init(|| form))
+    }
+
+    /// Compiles the standard form (see [`CompiledForm`]) in one pass over
+    /// the constraints.
+    fn compile(&self) -> Result<CompiledForm, LpError> {
+        // Variable substitution to non-negative standard variables; a
+        // two-sided bound adds a range row `y_j ≤ u − l`.
+        let mut var_map = Vec::with_capacity(self.num_vars());
         let mut n_std = 0usize;
-        // Extra rows for two-sided bounds: (std_index, range).
-        let mut range_rows: Vec<(usize, f64)> = Vec::new();
-        for i in 0..n {
-            match (self.lower[i], self.upper[i]) {
+        let mut ranges: Vec<(usize, f64)> = Vec::new();
+        for (&lower, &upper) in self.lower.iter().zip(&self.upper) {
+            match (lower, upper) {
                 (Some(l), Some(u)) => {
                     if u < l {
                         return Err(LpError::Infeasible);
                     }
                     var_map.push(VarMap::Shifted(n_std, l));
-                    range_rows.push((n_std, u - l));
+                    ranges.push((n_std, u - l));
                     n_std += 1;
                 }
                 (Some(l), None) => {
@@ -492,204 +490,69 @@ impl LinearProgram {
             }
         }
 
-        // Substitute into a row of original coefficients: returns the
-        // standard-variable row plus the constant term contributed.
-        let substitute = |coeffs: &[f64]| -> (Vec<f64>, f64) {
-            let mut row = vec![0.0; n_std];
-            let mut constant = 0.0;
-            for (i, &ci) in coeffs.iter().enumerate() {
-                if ci == 0.0 {
-                    continue;
-                }
-                match var_map[i] {
-                    VarMap::Shifted(j, l) => {
-                        row[j] += ci;
-                        constant += ci * l;
-                    }
-                    VarMap::Mirrored(j, u) => {
-                        row[j] -= ci;
-                        constant += ci * u;
-                    }
-                    VarMap::Split(jp, jm) => {
-                        row[jp] += ci;
-                        row[jm] -= ci;
-                    }
-                }
-            }
-            (row, constant)
-        };
-
-        // --- Build standard-form rows. ---
-        // Working list of (row over std vars, relation in {Le, Eq}, rhs).
-        let mut rows: Vec<(Vec<f64>, Relation, f64)> = Vec::new();
-        for (ci, c) in self.constraints.iter().enumerate() {
-            let (mut row, constant) = substitute(&c.coeffs);
-            let user_rhs = rhs_override.map_or(c.rhs, |r| r[ci]);
-            let mut rhs = user_rhs - constant;
-            let mut rel = c.relation;
-            if rel == Relation::Ge {
-                for v in &mut row {
-                    *v = -*v;
-                }
-                rhs = -rhs;
-                rel = Relation::Le;
-            }
-            rows.push((row, rel, rhs));
-        }
-        for &(j, range) in &range_rows {
-            let mut row = vec![0.0; n_std];
-            row[j] = 1.0;
-            rows.push((row, Relation::Le, range));
-        }
-
-        let m = rows.len();
-        let n_slack: usize = rows
-            .iter()
-            .filter(|(_, rel, _)| *rel == Relation::Le)
-            .count();
-        let total = n_std + n_slack;
-
-        let mut a = Vec::with_capacity(m);
-        let mut b = Vec::with_capacity(m);
-        let mut hints: Vec<Option<usize>> = Vec::with_capacity(m);
-        let mut slack_col = n_std;
-        for (mut row, rel, mut rhs) in rows {
-            row.resize(total, 0.0);
-            match rel {
-                Relation::Le => {
-                    let neg = flip && rhs < 0.0;
-                    if neg {
-                        for v in &mut row {
-                            *v = -*v;
-                        }
-                        rhs = -rhs;
-                        row[slack_col] = -1.0;
-                        hints.push(None);
-                    } else {
-                        row[slack_col] = 1.0;
-                        hints.push(Some(slack_col));
-                    }
-                    slack_col += 1;
-                }
-                Relation::Eq => {
-                    if flip && rhs < 0.0 {
-                        for v in &mut row {
-                            *v = -*v;
-                        }
-                        rhs = -rhs;
-                    }
-                    hints.push(None);
-                }
-                Relation::Ge => unreachable!("Ge was normalized to Le above"),
-            }
-            a.push(row);
-            b.push(rhs);
-        }
-
-        // --- Objective in standard variables. ---
-        let (mut c_std, obj_constant) = substitute(&self.costs);
-        c_std.resize(total, 0.0);
-
-        Ok(Standardized {
-            sf: StandardForm { a, b, c: c_std },
-            hints,
-            var_map,
-            obj_constant,
-            total,
-        })
-    }
-
-    /// Maps a standard-form solution back to user variables.
-    fn map_solution(&self, std: &Standardized, sol: &StandardSolution) -> LpSolution {
-        self.finish(&std.var_map, std.obj_constant, sol)
-    }
-
-    fn finish(&self, var_map: &[VarMap], obj_constant: f64, sol: &StandardSolution) -> LpSolution {
-        let mut x = vec![0.0; self.num_vars()];
-        for (i, vm) in var_map.iter().enumerate() {
-            x[i] = match *vm {
-                VarMap::Shifted(j, l) => l + sol.x[j],
-                VarMap::Mirrored(j, u) => u - sol.x[j],
-                VarMap::Split(jp, jm) => sol.x[jp] - sol.x[jm],
-            };
-        }
-        let mut objective = sol.objective + obj_constant;
-        if self.maximize {
-            objective = -objective;
-        }
-        LpSolution { x, objective }
-    }
-
-    /// Compiles the shape-stable standard form that warm solves run on now
-    /// instead of on the first [`solve_warm`](Self::solve_warm), so that
-    /// every clone made afterwards shares this one form (by reference
-    /// count) rather than compiling its own.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::Infeasible`] when a variable's bounds cross.
-    pub fn compile_warm_form(&self) -> Result<(), LpError> {
-        self.compiled_form().map(|_| ())
-    }
-
-    /// The compiled form of the current structure, compiled on first use.
-    fn compiled_form(&self) -> Result<&CompiledForm, LpError> {
-        if let Some(form) = self.compiled.get() {
-            return Ok(form);
-        }
-        let form = Arc::new(self.compile()?);
-        Ok(self.compiled.get_or_init(|| form))
-    }
-
-    /// Compiles the shape-stable standard form (see [`CompiledForm`]).
-    fn compile(&self) -> Result<CompiledForm, LpError> {
-        let std = self.standardize(None, false)?;
         let nc = self.constraints.len();
+        let rows = nc + ranges.len();
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        let mut entries = Vec::new();
+        let mut slack = Vec::with_capacity(rows);
         let mut sign = Vec::with_capacity(nc);
         let mut constant = Vec::with_capacity(nc);
+        let mut slack_col = n_std;
         for c in &self.constraints {
-            sign.push(if c.relation == Relation::Ge {
+            let s = if c.relation == Relation::Ge {
                 -1.0
             } else {
                 1.0
-            });
-            // Same accumulation order as `standardize`'s substitution so
-            // the reassembled RHS is bit-identical to a fresh build.
-            let mut k = 0.0;
-            for (i, &ci) in c.coeffs.iter().enumerate() {
-                if ci == 0.0 {
-                    continue;
-                }
-                match std.var_map[i] {
-                    VarMap::Shifted(_, l) => k += ci * l,
-                    VarMap::Mirrored(_, u) => k += ci * u,
-                    VarMap::Split(..) => {}
-                }
+            };
+            constant.push(substitute(&var_map, &c.coeffs, |j, v| {
+                entries.push((j, s * v))
+            }));
+            sign.push(s);
+            if c.relation == Relation::Eq {
+                slack.push(None);
+            } else {
+                entries.push((slack_col, 1.0));
+                slack.push(Some(slack_col));
+                slack_col += 1;
             }
-            constant.push(k);
+            start.push(entries.len());
         }
-        let range_rhs = std.sf.b[nc..].to_vec();
+        let mut range_rhs = Vec::with_capacity(ranges.len());
+        for (j, range) in ranges {
+            entries.extend([(j, 1.0), (slack_col, 1.0)]);
+            slack.push(Some(slack_col));
+            slack_col += 1;
+            start.push(entries.len());
+            range_rhs.push(range);
+        }
         Ok(CompiledForm {
-            a: SparseMatrix::from_dense(&std.sf.a, std.total),
-            var_map: std.var_map,
-            total: std.total,
+            a: SparseMatrix::from_rows(start, entries, slack_col),
+            var_map,
+            slack,
             sign,
             constant,
             range_rhs,
         })
     }
 
-    /// Cold solve of the flipped (two-phase) standard form on the dense
-    /// tableau.
+    /// Cold solve on the dense tableau: the solution, its pivot count and,
+    /// when it holds no artificial column, its optimal basis.
     fn solve_cold(
         &self,
         rhs_override: Option<&[f64]>,
-    ) -> Result<(Standardized, StandardSolution), LpError> {
+    ) -> Result<(LpSolution, usize, Option<Vec<usize>>), LpError> {
         oic_obs::counter!("lp.solves", "solves").incr();
-        let std = self.standardize(rhs_override, true)?;
-        let sol = solve_standard(&std.sf, &std.hints)?;
+        let form = self.form()?;
+        let b = form.rhs_vector(self, rhs_override);
+        let (c, obj_constant) = form.cost_vector(self);
+        let (sol, basis) = solve_standard(&form.a, &b, &c, &form.slack)?;
         oic_obs::counter!("lp.pivots", "pivots").add(sol.iters as u64);
-        Ok((std, sol))
+        Ok((
+            self.finish(&form.var_map, obj_constant, &sol),
+            sol.iters,
+            basis,
+        ))
     }
 
     /// Solves the program.
@@ -701,8 +564,7 @@ impl LinearProgram {
     /// * [`LpError::IterationLimit`] — the pivot limit was reached, which
     ///   indicates severe degeneracy or ill-conditioning.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        let (std, sol) = self.solve_cold(None)?;
-        Ok(self.map_solution(&std, &sol))
+        self.solve_cold(None).map(|(solution, ..)| solution)
     }
 
     /// Solves with the stored constraint right-hand sides replaced by
@@ -727,8 +589,7 @@ impl LinearProgram {
             rhs.iter().all(|v| v.is_finite()),
             "rhs entries must be finite"
         );
-        let (std, sol) = self.solve_cold(Some(rhs))?;
-        Ok(self.map_solution(&std, &sol))
+        self.solve_cold(Some(rhs)).map(|(solution, ..)| solution)
     }
 
     /// Solves the program, carrying the optimal basis in `warm` so the
@@ -778,7 +639,7 @@ impl LinearProgram {
         warm: &mut WarmStart,
     ) -> Result<LpSolution, LpError> {
         warm.solves += 1;
-        let compiled = self.compiled_form()?;
+        let compiled = self.form()?;
         // A basis recorded for another structure indexes other columns
         // (RHS/cost updates keep the revision, so they stay warm).
         if warm.revision != self.structure_rev {
@@ -817,14 +678,14 @@ impl LinearProgram {
 
         // Cold path; seed the warm start for the next call when the final
         // basis is artificial-free (a basis containing a zero-level
-        // artificial would not transfer to the unflipped column space).
-        let (std, sol) = self.solve_cold(rhs_override)?;
-        warm.pivots += sol.iters as u64;
-        match sol.structural_basis(std.total) {
-            Some(basis) => warm.carry.set_basis(basis),
+        // artificial would not transfer to the compiled column space).
+        let (solution, iters, basis) = self.solve_cold(rhs_override)?;
+        warm.pivots += iters as u64;
+        match basis {
+            Some(basis) => warm.carry.basis = basis,
             None => warm.carry.clear(),
         }
-        Ok(self.map_solution(&std, &sol))
+        Ok(solution)
     }
 }
 
@@ -1017,7 +878,7 @@ mod tests {
         lp.add_le(&[3.0, 1.0], 6.0);
         lp.set_lower_bound(0, 0.0);
         lp.set_lower_bound(1, 0.0);
-        lp.compile_warm_form().unwrap();
+        lp.compile_form().unwrap();
         let clone = lp.clone();
         let form = |lp: &LinearProgram| lp.compiled.get().cloned();
         assert!(Arc::ptr_eq(&form(&lp).unwrap(), &form(&clone).unwrap()));

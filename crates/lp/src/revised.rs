@@ -63,8 +63,8 @@ impl Lines {
 }
 
 /// A standard-form constraint matrix stored by its nonzeros, both by row
-/// (pricing and tableau rows) and by column (entering columns and the
-/// basis factor).
+/// (pricing, tableau rows, and the cold tableau's scatter) and by column
+/// (entering columns and the basis factor).
 ///
 /// Every pass over it visits its terms in the order a dense sweep would
 /// and skips only exact zeros, so every nonzero value it produces is the
@@ -76,20 +76,13 @@ pub(crate) struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// The nonzeros of the row-major `a` with `n` columns.
-    pub(crate) fn from_dense(a: &[Vec<f64>], n: usize) -> Self {
-        let mut row_start = Vec::with_capacity(a.len() + 1);
-        row_start.push(0);
-        let mut row_entries = Vec::new();
+    /// The matrix with `n` columns whose row `i` holds the nonzeros
+    /// `entries[start[i]..start[i + 1]]`, `(column, value)` ascending in
+    /// the column.
+    pub(crate) fn from_rows(start: Vec<usize>, entries: Vec<(usize, f64)>, n: usize) -> Self {
         let mut col_start = vec![0usize; n + 1];
-        for row in a {
-            for (j, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    row_entries.push((j, v));
-                    col_start[j + 1] += 1;
-                }
-            }
-            row_start.push(row_entries.len());
+        for &(j, _) in &entries {
+            col_start[j + 1] += 1;
         }
         for j in 0..n {
             col_start[j + 1] += col_start[j];
@@ -97,18 +90,15 @@ impl SparseMatrix {
         // Scattering the rows in ascending order keeps every column
         // ascending in its row index.
         let mut next = col_start[..n].to_vec();
-        let mut col_entries = vec![(0, 0.0); row_entries.len()];
-        for i in 0..a.len() {
-            for &(j, v) in &row_entries[row_start[i]..row_start[i + 1]] {
+        let mut col_entries = vec![(0, 0.0); entries.len()];
+        for (i, bounds) in start.windows(2).enumerate() {
+            for &(j, v) in &entries[bounds[0]..bounds[1]] {
                 col_entries[next[j]] = (i, v);
                 next[j] += 1;
             }
         }
         Self {
-            rows: Lines {
-                start: row_start,
-                entries: row_entries,
-            },
+            rows: Lines { start, entries },
             cols: Lines {
                 start: col_start,
                 entries: col_entries,
@@ -116,16 +106,33 @@ impl SparseMatrix {
         }
     }
 
+    /// The nonzeros of the row-major `a` with `n` columns.
+    #[cfg(test)]
+    pub(crate) fn from_dense(a: &[Vec<f64>], n: usize) -> Self {
+        let mut start = vec![0];
+        let mut entries = Vec::new();
+        for row in a {
+            entries.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(j, &v)| (j, v)),
+            );
+            start.push(entries.len());
+        }
+        Self::from_rows(start, entries, n)
+    }
+
     pub(crate) fn num_rows(&self) -> usize {
         self.rows.start.len() - 1
     }
 
-    fn num_cols(&self) -> usize {
+    pub(crate) fn num_cols(&self) -> usize {
         self.cols.start.len() - 1
     }
 
     /// The `(column, value)` nonzeros of row `i`, ascending.
-    fn row(&self, i: usize) -> &[(usize, f64)] {
+    pub(crate) fn row(&self, i: usize) -> &[(usize, f64)] {
         self.rows.line(i)
     }
 
@@ -368,11 +375,6 @@ impl WarmCarry {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.basis.is_empty()
-    }
-
-    pub(crate) fn set_basis(&mut self, basis: &[usize]) {
-        self.basis.clear();
-        self.basis.extend_from_slice(basis);
     }
 }
 
@@ -711,7 +713,6 @@ impl<'a> Revised<'a> {
             x,
             objective,
             iters: self.iters,
-            basis: self.basis.clone(),
         }
     }
 }
@@ -719,9 +720,9 @@ impl<'a> Revised<'a> {
 /// Warm-started revised solve from a previous basis of structural and
 /// slack columns.
 ///
-/// `b` may have **any sign** — this is the "unflipped" standard form,
-/// which keeps the column space stable across a sequence of perturbed
-/// solves. The engine restores optimality with:
+/// `b` may have **any sign**: the compiled standard form keeps it, which
+/// keeps the column space stable across a sequence of perturbed solves.
+/// The engine restores optimality with:
 ///
 /// * **primal** pivots when the basis is still primal feasible (the
 ///   objective changed), or
@@ -788,10 +789,26 @@ pub(crate) fn solve_revised_warm(
 mod tests {
     use super::*;
 
-    use crate::simplex::{solve_standard, StandardForm};
+    use crate::simplex::solve_standard;
 
-    fn sf(a: Vec<Vec<f64>>, b: Vec<f64>, c: Vec<f64>) -> StandardForm {
-        StandardForm { a, b, c }
+    /// A standard form `min cᵀx, Ax = b, x ≥ 0` with a dense matrix.
+    struct Dense {
+        a: Vec<Vec<f64>>,
+        b: Vec<f64>,
+        c: Vec<f64>,
+    }
+
+    impl Dense {
+        /// The tableau's optimum and basis, for `slack` the rows' slack
+        /// columns.
+        fn tableau(&self, slack: &[Option<usize>]) -> (StandardSolution, Option<Vec<usize>>) {
+            let a = SparseMatrix::from_dense(&self.a, self.c.len());
+            solve_standard(&a, &self.b, &self.c, slack).unwrap()
+        }
+    }
+
+    fn sf(a: Vec<Vec<f64>>, b: Vec<f64>, c: Vec<f64>) -> Dense {
+        Dense { a, b, c }
     }
 
     fn unwrap_warm(outcome: WarmOutcome) -> StandardSolution {
@@ -802,19 +819,17 @@ mod tests {
     }
 
     fn carry_from(basis: &[usize]) -> WarmCarry {
-        let mut carry = WarmCarry::default();
-        carry.set_basis(basis);
-        carry
+        WarmCarry {
+            basis: basis.to_vec(),
+        }
     }
 
     /// The carry of the tableau's optimal basis for `sf`, as a cold solve
     /// through `LinearProgram::solve_warm` seeds it.
-    fn tableau_carry(sf: &StandardForm, hints: &[Option<usize>]) -> WarmCarry {
-        let cold = solve_standard(sf, hints).unwrap();
-        carry_from(
-            cold.structural_basis(sf.c.len())
-                .expect("artificial-free basis"),
-        )
+    fn tableau_carry(sf: &Dense, slack: &[Option<usize>]) -> WarmCarry {
+        WarmCarry {
+            basis: sf.tableau(slack).1.expect("artificial-free basis"),
+        }
     }
 
     /// [`solve_revised_warm`] over the sparse form of `a`.
@@ -898,13 +913,13 @@ mod tests {
         let mut carry = tableau_carry(&base, &[Some(2), Some(3)]);
         let warm = unwrap_warm(warm_solve(&base.a, &base.b, &c2, &mut carry));
         let retarget = sf(base.a.clone(), base.b.clone(), c2);
-        let direct = solve_standard(&retarget, &[Some(2), Some(3)]).unwrap();
+        let (direct, _) = retarget.tableau(&[Some(2), Some(3)]);
         assert!((warm.objective - direct.objective).abs() < 1e-9);
     }
 
     #[test]
     fn warm_handles_negative_rhs_unflipped_form() {
-        // min x over -x ≤ 3 and x ≤ -1 in the unflipped form (negative RHS
+        // min x over -x ≤ 3 and x ≤ -1 in the compiled form (negative RHS
         // kept, slack coefficient +1); variables split x = xp − xm.
         let tight = sf(
             vec![vec![-1.0, 1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0, 1.0]],
@@ -942,13 +957,9 @@ mod tests {
             vec![5.0, -2.0],
             vec![1.0, 0.0, 0.0],
         );
-        // Cold-solve the flipped version on the tableau to get a basis.
-        let flipped = sf(
-            vec![vec![1.0, 1.0, 0.0], vec![1.0, 0.0, -1.0]],
-            vec![5.0, 2.0],
-            vec![1.0, 0.0, 0.0],
-        );
-        let mut carry = tableau_carry(&flipped, &[Some(1), None]);
+        // The tableau negates the negative-RHS row itself, which then
+        // starts on an artificial instead of its slack.
+        let mut carry = tableau_carry(&feasible, &[Some(1), Some(2)]);
         let warm = unwrap_warm(warm_solve(
             &feasible.a,
             &feasible.b,
@@ -990,9 +1001,9 @@ mod tests {
         c.extend(vec![0.0; n]);
         let slacks: Vec<usize> = (n..2 * n).collect();
         let hints: Vec<Option<usize>> = slacks.iter().map(|&j| Some(j)).collect();
-        let sf = StandardForm { a, b, c };
+        let sf = sf(a, b, c);
         let revised = unwrap_warm(warm_solve(&sf.a, &sf.b, &sf.c, &mut carry_from(&slacks)));
-        let tableau = solve_standard(&sf, &hints).unwrap();
+        let (tableau, _) = sf.tableau(&hints);
         assert!(
             revised.iters > 2 * REFACTOR_LIMIT,
             "{} pivots",

@@ -1,10 +1,12 @@
 //! Dense two-phase tableau simplex engine.
 //!
-//! This module works on *standard form* problems
-//! `min cᵀx  s.t.  Ax = b, x ≥ 0, b ≥ 0` and is only used through
-//! [`crate::LinearProgram`], which performs the conversion from the general
-//! user-facing form.
+//! This module solves *standard form* problems
+//! `min cᵀx  s.t.  Ax = b, x ≥ 0` for `b` of any sign, reading `A` from
+//! the compiled sparse form (a row with a negative RHS enters the tableau
+//! negated). It is only used through [`crate::LinearProgram`], which
+//! compiles the general user-facing form.
 
+use crate::revised::SparseMatrix;
 use crate::LpError;
 
 /// Numerical tolerance for pivot selection and feasibility tests.
@@ -20,39 +22,13 @@ const MAX_ITER: usize = 50_000;
 /// standard remedy is to start with Dantzig and fall back to Bland.
 const BLAND_SWITCH: usize = 5_000;
 
-/// Standard-form problem handed to the engine.
-pub(crate) struct StandardForm {
-    /// Constraint matrix, `m` rows of length `n`.
-    pub a: Vec<Vec<f64>>,
-    /// Right-hand side, all entries non-negative.
-    pub b: Vec<f64>,
-    /// Cost vector of length `n` (minimization).
-    pub c: Vec<f64>,
-}
-
-/// Result of the engine: optimal basic solution in standard-form variables.
+/// Result of an engine: optimal basic solution in standard-form variables.
 #[derive(Debug)]
 pub(crate) struct StandardSolution {
     pub x: Vec<f64>,
     pub objective: f64,
-    /// The optimal basis (one column index per constraint row). Entries may
-    /// point at artificial columns (index `≥ c.len()`) when a redundant row
-    /// kept its zero-level artificial — callers seeding warm starts must
-    /// check [`StandardSolution::structural_basis`].
-    pub basis: Vec<usize>,
     /// Pivots performed (warm-start telemetry).
     pub iters: usize,
-}
-
-impl StandardSolution {
-    /// The basis if it is purely structural/slack (no artificial columns),
-    /// which is the precondition for reusing it as a warm start.
-    pub fn structural_basis(&self, n_structural: usize) -> Option<&[usize]> {
-        self.basis
-            .iter()
-            .all(|&j| j < n_structural)
-            .then_some(&self.basis[..])
-    }
 }
 
 struct Tableau {
@@ -182,39 +158,44 @@ impl Tableau {
     }
 }
 
-/// Solves a standard-form LP with the two-phase method.
+/// Solves `min cᵀx  s.t.  Ax = b, x ≥ 0` with the two-phase method,
+/// returning the optimum and, when it holds no artificial column, its
+/// basis (one column per row: the seed of a warm start).
 ///
-/// Rows whose slack column provides a natural initial basis do not receive an
-/// artificial variable; the caller marks those via `basis_hint` (column index
-/// usable as the initial basic variable for that row, or `None`).
+/// Each row with `bᵢ < 0` enters the tableau negated, so the RHS column
+/// starts non-negative. `slack[i]` names row `i`'s `+1` slack column, its
+/// initial basic variable; a row without one, or a negated row (whose
+/// slack is then `−1`), starts on an artificial column instead.
 pub(crate) fn solve_standard(
-    sf: &StandardForm,
-    basis_hint: &[Option<usize>],
-) -> Result<StandardSolution, LpError> {
-    let m = sf.b.len();
-    let n0 = sf.c.len();
-    debug_assert!(sf.a.iter().all(|row| row.len() == n0));
-    debug_assert!(sf.b.iter().all(|&bi| bi >= -EPS));
-    debug_assert_eq!(basis_hint.len(), m);
+    a: &SparseMatrix,
+    b: &[f64],
+    c: &[f64],
+    slack: &[Option<usize>],
+) -> Result<(StandardSolution, Option<Vec<usize>>), LpError> {
+    let m = b.len();
+    let n0 = c.len();
+    debug_assert_eq!(a.num_rows(), m);
+    debug_assert_eq!(a.num_cols(), n0);
+    debug_assert_eq!(slack.len(), m);
 
-    // Count artificials needed.
-    let needs_artificial: Vec<bool> = basis_hint.iter().map(|h| h.is_none()).collect();
-    let n_art = needs_artificial.iter().filter(|&&x| x).count();
+    let hint = |i: usize| if b[i] < 0.0 { None } else { slack[i] };
+    let n_art = (0..m).filter(|&i| hint(i).is_none()).count();
     let n = n0 + n_art;
     let w = n + 1;
 
     let mut t = vec![0.0; (m + 1) * w];
     let mut basis = vec![0usize; m];
     let mut art_col = n0;
-    for i in 0..m {
-        for j in 0..n0 {
-            t[i * w + j] = sf.a[i][j];
+    for (i, row) in t.chunks_exact_mut(w).take(m).enumerate() {
+        let flip = b[i] < 0.0;
+        for &(j, v) in a.row(i) {
+            row[j] = if flip { -v } else { v };
         }
-        t[i * w + n] = sf.b[i].max(0.0);
-        if let Some(h) = basis_hint[i] {
+        row[n] = (if flip { -b[i] } else { b[i] }).max(0.0);
+        if let Some(h) = hint(i) {
             basis[i] = h;
         } else {
-            t[i * w + art_col] = 1.0;
+            row[art_col] = 1.0;
             basis[i] = art_col;
             art_col += 1;
         }
@@ -232,13 +213,13 @@ pub(crate) fn solve_standard(
     // ---- Phase 1: minimize the sum of artificial variables. ----
     if n_art > 0 {
         oic_obs::counter!("lp.phase1_entries", "count").incr();
-        // Objective row: cost 1 on artificials, reduced by the basic rows so
-        // artificial columns start with reduced cost zero.
+        // Objective row: cost 1 on artificials, reduced by the rows that
+        // start on one so artificial columns start with reduced cost zero.
         for j in tab.art_start..tab.n {
             *tab.at_mut(m, j) = 1.0;
         }
-        for (i, needed) in needs_artificial.iter().enumerate().take(m) {
-            if *needed {
+        for i in 0..m {
+            if tab.basis[i] >= tab.art_start {
                 for j in 0..w {
                     let v = tab.at(i, j);
                     *tab.at_mut(m, j) -= v;
@@ -271,12 +252,12 @@ pub(crate) fn solve_standard(
     for j in 0..w {
         *tab.at_mut(m, j) = 0.0;
     }
-    for j in 0..n0 {
-        *tab.at_mut(m, j) = sf.c[j];
+    for (j, &cj) in c.iter().enumerate() {
+        *tab.at_mut(m, j) = cj;
     }
     for row in 0..m {
         let bvar = tab.basis[row];
-        let cb = if bvar < n0 { sf.c[bvar] } else { 0.0 };
+        let cb = if bvar < n0 { c[bvar] } else { 0.0 };
         if cb == 0.0 {
             continue;
         }
@@ -296,27 +277,41 @@ pub(crate) fn solve_standard(
         }
     }
     let objective = -tab.at(m, n);
-    Ok(StandardSolution {
-        x,
-        objective,
-        iters: tab.iters,
-        basis: tab.basis,
-    })
+    let basis = tab.basis.iter().all(|&j| j < n0).then_some(tab.basis);
+    Ok((
+        StandardSolution {
+            x,
+            objective,
+            iters: tab.iters,
+        },
+        basis,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tableau solve of the standard form with the dense matrix `a`.
+    fn solve_dense(
+        a: &[Vec<f64>],
+        b: &[f64],
+        c: &[f64],
+        slack: &[Option<usize>],
+    ) -> Result<StandardSolution, LpError> {
+        solve_standard(&SparseMatrix::from_dense(a, c.len()), b, c, slack).map(|(sol, _)| sol)
+    }
+
     /// min -x1 - x2 s.t. x1 + 2x2 + s1 = 4; 3x1 + x2 + s2 = 6; all >= 0.
     #[test]
     fn basic_two_var_lp() {
-        let sf = StandardForm {
-            a: vec![vec![1.0, 2.0, 1.0, 0.0], vec![3.0, 1.0, 0.0, 1.0]],
-            b: vec![4.0, 6.0],
-            c: vec![-1.0, -1.0, 0.0, 0.0],
-        };
-        let sol = solve_standard(&sf, &[Some(2), Some(3)]).unwrap();
+        let sol = solve_dense(
+            &[vec![1.0, 2.0, 1.0, 0.0], vec![3.0, 1.0, 0.0, 1.0]],
+            &[4.0, 6.0],
+            &[-1.0, -1.0, 0.0, 0.0],
+            &[Some(2), Some(3)],
+        )
+        .unwrap();
         assert!((sol.objective + 2.8).abs() < 1e-9, "{}", sol.objective);
         assert!((sol.x[0] - 1.6).abs() < 1e-9);
         assert!((sol.x[1] - 1.2).abs() < 1e-9);
@@ -326,26 +321,34 @@ mod tests {
     #[test]
     fn equality_constraints_need_phase1() {
         // min x1 + x2 s.t. x1 + x2 = 2, x1 - x2 = 0  =>  x = (1, 1).
-        let sf = StandardForm {
-            a: vec![vec![1.0, 1.0], vec![1.0, -1.0]],
-            b: vec![2.0, 0.0],
-            c: vec![1.0, 1.0],
-        };
-        let sol = solve_standard(&sf, &[None, None]).unwrap();
+        let sol = solve_dense(
+            &[vec![1.0, 1.0], vec![1.0, -1.0]],
+            &[2.0, 0.0],
+            &[1.0, 1.0],
+            &[None, None],
+        )
+        .unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-9);
         assert!((sol.x[0] - 1.0).abs() < 1e-9);
+    }
+
+    /// A row with a negative RHS enters negated, so its slack cannot start
+    /// basic: min x1 s.t. -x1 + s1 = -2 (x1 ≥ 2) goes through phase 1, and
+    /// the optimal basis holds no artificial.
+    #[test]
+    fn negative_rhs_rows_enter_negated() {
+        let a = SparseMatrix::from_dense(&[vec![-1.0, 1.0]], 2);
+        let (sol, basis) = solve_standard(&a, &[-2.0], &[1.0, 0.0], &[Some(1)]).unwrap();
+        assert!((sol.objective - 2.0).abs() < 1e-9, "{}", sol.objective);
+        assert!((sol.x[0] - 2.0).abs() < 1e-9);
+        assert_eq!(basis, Some(vec![0]));
     }
 
     #[test]
     fn infeasible_detected() {
         // x1 = 1 and x1 = 2 simultaneously.
-        let sf = StandardForm {
-            a: vec![vec![1.0], vec![1.0]],
-            b: vec![1.0, 2.0],
-            c: vec![0.0],
-        };
         assert_eq!(
-            solve_standard(&sf, &[None, None]).unwrap_err(),
+            solve_dense(&[vec![1.0], vec![1.0]], &[1.0, 2.0], &[0.0], &[None, None]).unwrap_err(),
             LpError::Infeasible
         );
     }
@@ -353,13 +356,14 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         // min -x1 with only x1 - x2 + s = 1: x1 can grow with x2.
-        let sf = StandardForm {
-            a: vec![vec![1.0, -1.0, 1.0]],
-            b: vec![1.0],
-            c: vec![-1.0, 0.0, 0.0],
-        };
         assert_eq!(
-            solve_standard(&sf, &[Some(2)]).unwrap_err(),
+            solve_dense(
+                &[vec![1.0, -1.0, 1.0]],
+                &[1.0],
+                &[-1.0, 0.0, 0.0],
+                &[Some(2)]
+            )
+            .unwrap_err(),
             LpError::Unbounded
         );
     }
@@ -371,30 +375,29 @@ mod tests {
         // s.t. 0.25x4 - 60x5 - 0.04x6 + 9x7 <= 0
         //      0.5x4 - 90x5 - 0.02x6 + 3x7 <= 0
         //      x6 <= 1
-        let sf = StandardForm {
-            a: vec![
+        let sol = solve_dense(
+            &[
                 vec![0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
                 vec![0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
                 vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
             ],
-            b: vec![0.0, 0.0, 1.0],
-            c: vec![-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0],
-        };
-        let sol = solve_standard(&sf, &[Some(4), Some(5), Some(6)]).unwrap();
+            &[0.0, 0.0, 1.0],
+            &[-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0],
+            &[Some(4), Some(5), Some(6)],
+        )
+        .unwrap();
         assert!((sol.objective + 0.05).abs() < 1e-9, "{}", sol.objective);
     }
 
     #[test]
     fn redundant_equality_rows_handled() {
         // x1 + x2 = 2 stated twice: phase 1 leaves a zero-level artificial in
-        // a redundant row, which must not corrupt phase 2.
-        let sf = StandardForm {
-            a: vec![vec![1.0, 1.0], vec![1.0, 1.0]],
-            b: vec![2.0, 2.0],
-            c: vec![1.0, 2.0],
-        };
-        let sol = solve_standard(&sf, &[None, None]).unwrap();
+        // a redundant row, which must not corrupt phase 2, and the basis
+        // holding it is not returned as a warm-start seed.
+        let a = SparseMatrix::from_dense(&[vec![1.0, 1.0], vec![1.0, 1.0]], 2);
+        let (sol, basis) = solve_standard(&a, &[2.0, 2.0], &[1.0, 2.0], &[None, None]).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-9);
         assert!((sol.x[0] - 2.0).abs() < 1e-9);
+        assert_eq!(basis, None);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the LP and MILP solvers.
 
-use oic_lp::{LinearProgram, LpError, MixedIntegerProgram, WarmStart};
+use oic_lp::{LinearProgram, LpError, MixedIntegerProgram, Relation, WarmStart};
 use proptest::prelude::*;
 
 /// Strategy: a bounded LP over `n` box-bounded variables with random
@@ -12,8 +12,83 @@ fn random_lp(n: usize, m: usize) -> impl Strategy<Value = (Vec<f64>, Vec<(Vec<f6
     (costs, rows)
 }
 
+/// An LP mixing every constraint relation and bound kind: costs, one
+/// `(kind, lower, width)` per variable (kind 0 free, 1 lower-only,
+/// 2 upper-only, 3 boxed, with bounds `lower` and `lower + width`), and
+/// `(coeffs, relation 0 ≤ / 1 = / 2 ≥, rhs)` rows with RHS of both signs.
+type MixedLp = (
+    Vec<f64>,
+    Vec<(usize, f64, f64)>,
+    Vec<(Vec<f64>, usize, f64)>,
+);
+
+fn mixed_lp(n: usize, m: usize) -> impl Strategy<Value = MixedLp> {
+    (
+        prop::collection::vec(-5.0f64..5.0, n),
+        prop::collection::vec((0usize..4, -5.0f64..5.0, 0.0f64..6.0), n),
+        prop::collection::vec(
+            (
+                prop::collection::vec(-3.0f64..3.0, n),
+                0usize..3,
+                -6.0f64..6.0,
+            ),
+            m,
+        ),
+    )
+}
+
+/// The program a [`MixedLp`] describes, and its rewrite with only `≤`
+/// rows over free variables: `≥` rows negated, `=` rows as two rows,
+/// bounds as rows.
+fn with_and_without_kinds((costs, bounds, rows): &MixedLp) -> (LinearProgram, LinearProgram) {
+    let mut lp = LinearProgram::minimize(costs);
+    let mut le_only = LinearProgram::minimize(costs);
+    let neg = |coeffs: &[f64]| coeffs.iter().map(|v| -v).collect::<Vec<_>>();
+    for (i, &(kind, lower, width)) in bounds.iter().enumerate() {
+        let mut unit = vec![0.0; costs.len()];
+        unit[i] = 1.0;
+        if kind == 1 || kind == 3 {
+            lp.set_lower_bound(i, lower);
+            le_only.add_le(&neg(&unit), -lower);
+        }
+        if kind == 2 || kind == 3 {
+            lp.set_upper_bound(i, lower + width);
+            le_only.add_le(&unit, lower + width);
+        }
+    }
+    for (coeffs, relation, rhs) in rows {
+        let relation = [Relation::Le, Relation::Eq, Relation::Ge][*relation];
+        lp.add_constraint(coeffs, relation, *rhs);
+        if relation != Relation::Ge {
+            le_only.add_le(coeffs, *rhs);
+        }
+        if relation != Relation::Le {
+            le_only.add_le(&neg(coeffs), -rhs);
+        }
+    }
+    (lp, le_only)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every relation and bound kind compiles to the same program as its
+    /// `≤`-only rewrite over free variables: a cold solve gives the same
+    /// verdict and an objective within 1e-7.
+    #[test]
+    fn relations_and_bound_kinds_match_le_only_rewrite(mixed in mixed_lp(3, 4)) {
+        let (lp, le_only) = with_and_without_kinds(&mixed);
+        match (lp.solve(), le_only.solve()) {
+            (Ok(a), Ok(b)) => prop_assert!(
+                (a.objective() - b.objective()).abs() < 1e-7,
+                "kinds {} vs rewrite {}",
+                a.objective(),
+                b.objective()
+            ),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "verdicts differ: {a:?} vs {b:?}"),
+        }
+    }
 
     /// Any reported optimum satisfies every constraint and the bounds.
     #[test]

@@ -2,6 +2,13 @@
 
 use crate::{Gradients, Mlp};
 
+/// First-moment decay rate `β₁`.
+const BETA1: f64 = 0.9;
+/// Second-moment decay rate `β₂`.
+const BETA2: f64 = 0.999;
+/// Denominator guard `ε`.
+const EPSILON: f64 = 1e-8;
+
 /// Adam (adaptive moment estimation) with bias correction.
 ///
 /// One instance per network: the first/second-moment buffers are lazily
@@ -25,16 +32,13 @@ use crate::{Gradients, Mlp};
 #[derive(Debug, Clone)]
 pub struct Adam {
     learning_rate: f64,
-    beta1: f64,
-    beta2: f64,
-    epsilon: f64,
     t: u64,
     m: Vec<f64>,
     v: Vec<f64>,
 }
 
 impl Adam {
-    /// Creates Adam with the given learning rate and the standard defaults
+    /// Creates Adam with the given learning rate and the standard
     /// `β₁ = 0.9, β₂ = 0.999, ε = 1e-8`.
     ///
     /// # Panics
@@ -44,28 +48,10 @@ impl Adam {
         assert!(learning_rate > 0.0, "learning rate must be positive");
         Self {
             learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Overrides the exponential-decay rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ β < 1` for both.
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas must be in [0,1)"
-        );
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// The configured learning rate.
@@ -93,16 +79,16 @@ impl Adam {
             "optimizer was initialized for a different network"
         );
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.epsilon);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
+        let lr = self.learning_rate;
         let (m, v) = (&mut self.m, &mut self.v);
         net.update_params(grads, |p, g, i| {
-            m[i] = b1 * m[i] + (1.0 - b1) * g;
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
             let m_hat = m[i] / b1t;
             let v_hat = v[i] / b2t;
-            p - lr * m_hat / (v_hat.sqrt() + eps)
+            p - lr * m_hat / (v_hat.sqrt() + EPSILON)
         });
     }
 }

@@ -351,11 +351,6 @@ impl Stopwatch {
             hist.record(start.elapsed().as_nanos() as u64);
         }
     }
-
-    /// Elapsed nanoseconds, if the watch started.
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.0.map(|s| s.elapsed().as_nanos() as u64)
-    }
 }
 
 enum Metric {
