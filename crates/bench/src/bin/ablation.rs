@@ -1,5 +1,6 @@
-//! Ablations over the design choices DESIGN.md calls out (tightening
-//! recursion, skip-input semantics, MPC horizon).
+//! Ablations over three design choices of the reproduction: the
+//! tightening recursion (open- or closed-loop), the skip-input semantics
+//! (zero input or physical coasting) and the MPC horizon.
 //!
 //! Usage: `cargo run --release -p oic-bench --bin ablation -- [--cases N]
 //! [--steps N] [--seed N] [--out report.json]`

@@ -14,11 +14,12 @@
 //! (revised-engine) resolve with a cold (tableau) one; nothing gates on
 //! them.
 //!
-//! Schema 7: `engine_sweep` is one instrumented registry sweep that
+//! Schema 8: `engine_sweep` is one instrumented registry sweep that
 //! counts **executed** episodes only — cache-hit cells (zero recorded
 //! wall time; their episodes never ran) and failed cells are excluded
 //! from the throughput quotient — plus per-cell rates in
-//! `episodes_per_cpu_sec_by_cell`.
+//! `episodes_per_cpu_sec_by_cell`. Each `nd_geometry` row holds only
+//! `projection_ns`.
 //!
 //! `--engine-only` skips the LP/MPC/geometry sections (for CI's
 //! throughput floor check).
@@ -132,7 +133,7 @@ fn main() {
 
     if engine_only {
         let doc = JsonValue::object()
-            .with("schema", 7.0)
+            .with("schema", 8.0)
             .with("engine_sweep", engine);
         println!("{}", doc.to_json_pretty());
         if let Err(e) = std::fs::write(&out, doc.to_json_pretty()) {
@@ -180,9 +181,8 @@ fn main() {
         }
     }) / seq.len() as u64;
 
-    // --- n-D certification kernels: Fourier–Motzkin projection and
-    // Raković RPI tube synthesis on the registry's 2-, 3-, and 4-state
-    // plants (the dimension-generic pipeline's two hot paths). ---
+    // --- n-D certification kernel: Fourier–Motzkin projection on the
+    // registry's 2-, 3-, and 4-state plants. ---
     let registry = ScenarioRegistry::standard();
     let mut nd = JsonValue::object();
     for (name, label) in [
@@ -200,31 +200,15 @@ fn main() {
         let projection_ns = median_ns(samples.min(10), || {
             robust_controllable_pre(&plant, &safe).expect("pre-set exists");
         });
-        // RPI synthesis: the certified tube (facet-ratio Raković sum plus
-        // the support-template invariance closure), measured end to end.
-        let gain_loop = instance.tube().expect("registry scenarios certify tubes");
-        let rpi_ns = median_ns(samples.min(10), || {
-            let w = gain_loop.disturbance().clone();
-            let a_cl = gain_loop.closed_loop().clone();
-            oic_control::rakovic_rpi_certified(
-                &a_cl,
-                &w,
-                &oic_control::InvariantOptions::default(),
-            )
-            .expect("tube synthesis succeeds");
-        });
         nd = nd.with(
             label,
-            JsonValue::object()
-                .with("projection_ns", projection_ns as f64)
-                .with("rpi_synthesis_ns", rpi_ns as f64)
-                .with("tube_facets", gain_loop.set().num_halfspaces() as f64),
+            JsonValue::object().with("projection_ns", projection_ns as f64),
         );
     }
 
     let ratio = |slow: u64, fast: u64| slow as f64 / fast.max(1) as f64;
     let doc = JsonValue::object()
-        .with("schema", 7.0)
+        .with("schema", 8.0)
         .with(
             "mpc_step",
             JsonValue::object()

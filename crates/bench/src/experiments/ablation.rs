@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over three design choices this reproduction makes:
 //!
 //! 1. **Tightening recursion** — the paper's open-loop `A^{k−1}W` versus
 //!    Chisci et al.'s closed-loop `(A+BK)^{k−1}W`: effect on the tightened

@@ -167,19 +167,8 @@ pub fn load_fault_plan(path: &str) -> Result<FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read fault plan {path:?}: {e}"))?;
     let doc = JsonValue::parse(&text).map_err(|e| format!("fault plan {path:?}: {e}"))?;
-    let entries = doc
-        .as_object()
-        .ok_or_else(|| format!("fault plan {path:?}: must be a JSON object"))?;
-    for (i, (key, _)) in entries.iter().enumerate() {
-        if !matches!(key.as_str(), "seed" | "panic_rate" | "nan_rate") {
-            return Err(format!(
-                "fault plan {path:?}: unknown key {key:?} (expected seed, panic_rate, nan_rate)"
-            ));
-        }
-        if entries[..i].iter().any(|(earlier, _)| earlier == key) {
-            return Err(format!("fault plan {path:?}: key {key:?} appears twice"));
-        }
-    }
+    doc.check_keys(&["seed", "panic_rate", "nan_rate"])
+        .map_err(|e| format!("fault plan {path:?}: {e}"))?;
     let seed = match doc.get("seed") {
         Some(JsonValue::String(s)) => s.parse().ok(),
         Some(value) => value.as_usize().map(|n| n as u64),

@@ -8,11 +8,13 @@
 //!
 //! * [`max_rpi`] — maximal robust positively invariant set of a closed loop,
 //! * [`max_rci`] — maximal robust *control* invariant set (paper ref. \[17\]),
-//! * [`rakovic_rpi`] — the Raković outer approximation of the minimal RPI
-//!   set, the paper's `α(W ⊕ (A+BK)W ⊕ … )` formula (paper ref. \[19\]),
 //! * [`TubeMpc::feasible_set`] — the feasible region `X_F` of the robust
 //!   MPC, which Proposition 1 identifies with the robust control invariant
 //!   set `X_I`.
+//!
+//! The safety monitor's `X_I` is the last of these or [`max_rpi`] under a
+//! linear feedback gain. No minimal-RPI set is computed: no certificate
+//! reads one.
 //!
 //! # Examples
 //!
@@ -39,9 +41,7 @@ mod mpc;
 
 pub use feedback::{dlqr, ControlCache, Controller, LinearFeedback};
 pub use invariant::{
-    certify_template, max_rci, max_rpi, rakovic_rpi, rakovic_rpi_certified,
-    rakovic_rpi_certified_2d_reference, robust_controllable_pre, verify_rci, verify_rpi,
-    InvariantOptions, RakovicRpi,
+    max_rci, max_rpi, robust_controllable_pre, verify_rci, verify_rpi, InvariantOptions,
 };
 pub use lti::{ConstrainedLti, Lti};
 pub use mpc::{MpcSolution, MpcWarmState, TighteningMode, TubeMpc, TubeMpcBuilder};

@@ -172,8 +172,6 @@ pub struct TubeMpcBuilder {
     state_weights: Vec<f64>,
     input_weight: f64,
     tightening: TighteningMode,
-    terminal_override: Option<Polytope>,
-    terminal_gain: Option<Matrix>,
 }
 
 impl TubeMpcBuilder {
@@ -191,8 +189,6 @@ impl TubeMpcBuilder {
             state_weights: vec![1.0; n],
             input_weight: 0.5,
             tightening: TighteningMode::OpenLoop,
-            terminal_override: None,
-            terminal_gain: None,
         }
     }
 
@@ -251,19 +247,6 @@ impl TubeMpcBuilder {
         self
     }
 
-    /// Overrides the terminal set (otherwise a robust terminal set is
-    /// synthesized from an LQR gain).
-    pub fn terminal_set(mut self, terminal: Polytope) -> Self {
-        self.terminal_override = Some(terminal);
-        self
-    }
-
-    /// Overrides the local gain used to synthesize the terminal set.
-    pub fn terminal_gain(mut self, gain: Matrix) -> Self {
-        self.terminal_gain = Some(gain);
-        self
-    }
-
     /// Builds the controller: computes tightened sets, synthesizes the
     /// terminal set, and precomputes prediction matrices.
     ///
@@ -300,44 +283,28 @@ impl TubeMpcBuilder {
             m_pow = &m_pow * &m_mat;
         }
 
-        // Terminal set: robust positively invariant under a local feedback,
+        // Terminal set: robust positively invariant under the LQR gain,
         // inside X(N) ∩ {x : Kx ∈ U} — this satisfies Proposition 1's
-        // stability premise. The local gain is retained on the controller
-        // ([`TubeMpc::terminal_gain`]) so callers certifying the terminal
-        // loop (e.g. scenario tube certificates) read the gain the MPC
-        // actually uses instead of re-deriving it.
-        let (terminal, terminal_gain) = match self.terminal_override {
-            Some(t) => {
-                assert_eq!(t.dim(), n, "terminal set dimension mismatch");
-                (t, self.terminal_gain)
-            }
-            None => {
-                let gain = match self.terminal_gain {
-                    Some(g) => g,
-                    None => crate::dlqr(
-                        sys.a(),
-                        sys.b(),
-                        &Matrix::identity(n),
-                        &Matrix::identity(sys.input_dim()),
-                    )?,
-                };
-                let a_cl = sys.closed_loop(&gain);
-                let input_ok = self
-                    .plant
-                    .input_set()
-                    .preimage(&gain, &vec![0.0; sys.input_dim()]);
-                let constraint = tightened[horizon]
-                    .intersection(&input_ok)
-                    .remove_redundant();
-                let set = max_rpi(
-                    &a_cl,
-                    self.plant.disturbance_set(),
-                    &constraint,
-                    &InvariantOptions::default(),
-                )?;
-                (set, Some(gain))
-            }
-        };
+        // stability premise.
+        let gain = crate::dlqr(
+            sys.a(),
+            sys.b(),
+            &Matrix::identity(n),
+            &Matrix::identity(sys.input_dim()),
+        )?;
+        let input_ok = self
+            .plant
+            .input_set()
+            .preimage(&gain, &vec![0.0; sys.input_dim()]);
+        let constraint = tightened[horizon]
+            .intersection(&input_ok)
+            .remove_redundant();
+        let terminal = max_rpi(
+            &sys.closed_loop(&gain),
+            self.plant.disturbance_set(),
+            &constraint,
+            &InvariantOptions::default(),
+        )?;
 
         // Prediction matrices: A^k for k = 0..=N and A^j B for j = 0..N−1.
         let mut a_pow = Vec::with_capacity(horizon + 1);
@@ -364,7 +331,6 @@ impl TubeMpcBuilder {
             horizon,
             tightened,
             terminal,
-            terminal_gain,
             a_pow,
             template,
         })
@@ -507,9 +473,6 @@ pub struct TubeMpc {
     /// `X(0), …, X(N)`.
     tightened: Vec<Polytope>,
     terminal: Polytope,
-    /// The local gain the terminal set was synthesized for (`None` only
-    /// when the terminal set was overridden without naming a gain).
-    terminal_gain: Option<Matrix>,
     /// `A^0, …, A^N`.
     a_pow: Vec<Matrix>,
     /// The LP compiled once at construction; per step only the RHS moves.
@@ -535,14 +498,6 @@ impl TubeMpc {
     /// The robust terminal set `X_t`.
     pub fn terminal_set(&self) -> &Polytope {
         &self.terminal
-    }
-
-    /// The local feedback gain the terminal set was synthesized for —
-    /// the loop a terminal-behavior certificate (e.g. a scenario's
-    /// minimal-RPI tube) must be computed against. `None` only when the
-    /// terminal set was overridden without naming a gain.
-    pub fn terminal_gain(&self) -> Option<&Matrix> {
-        self.terminal_gain.as_ref()
     }
 
     /// Solves the tube-MPC LP at state `x` through the precompiled

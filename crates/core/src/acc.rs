@@ -233,9 +233,9 @@ impl AccCaseStudy {
             })
         });
         // R₂ meters the same tractive-power fuel the evaluation reports
-        // (substitution documented in DESIGN.md: the paper's `‖κ(x)‖₁`
-        // cannot distinguish free braking from expensive acceleration under
-        // the fuel model the figures use). The energy weight is calibrated
+        // instead of the paper's `‖κ(x)‖₁`, which cannot distinguish free
+        // braking from expensive acceleration under the fuel model the
+        // figures use. The energy weight is calibrated
         // so a typical run step costs a few tenths of the X′-exit penalty,
         // the same balance as the paper's (w₁, w₂) with their input ranges.
         let weights = SkipRewardWeights {

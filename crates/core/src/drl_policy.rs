@@ -218,7 +218,8 @@ impl SkipTrainingEnv {
     ///
     /// The ACC case study uses this to meter the same tractive-power fuel
     /// model the evaluation reports, so the learned policy optimizes the
-    /// quantity the figures measure (see DESIGN.md, substitutions).
+    /// quantity the figures measure: `‖κ(x)‖₁` cannot tell free braking
+    /// from expensive acceleration under that fuel model.
     pub fn set_energy_metric(&mut self, metric: EnergyMetric) {
         self.energy_metric = Some(metric);
     }

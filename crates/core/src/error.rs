@@ -35,9 +35,6 @@ pub enum CoreError {
         /// What went wrong, human-readable.
         reason: String,
     },
-    /// The controller has no linear gain to derive a tube from: a tube
-    /// MPC built with an overridden terminal set and no terminal gain.
-    MissingGain,
     /// Propagated controller/invariant-set failure.
     Control(oic_control::ControlError),
     /// Propagated geometry failure.
@@ -58,9 +55,6 @@ impl fmt::Display for CoreError {
                 write!(f, "state became non-finite or diverged at step {step}")
             }
             CoreError::Policy { reason } => write!(f, "policy construction failed: {reason}"),
-            CoreError::MissingGain => {
-                write!(f, "controller has no linear gain to derive a tube from")
-            }
             CoreError::Control(e) => write!(f, "control layer failure: {e}"),
             CoreError::Geometry(e) => write!(f, "geometry failure: {e}"),
         }

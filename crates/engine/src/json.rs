@@ -119,6 +119,29 @@ impl JsonValue {
         }
     }
 
+    /// Checks that this is an object whose keys all come from `allowed`,
+    /// none repeated. Wire documents call it before reading any key, so a
+    /// misspelt or doubled key is an error instead of a silent default
+    /// ([`get`](Self::get) reads only the first of repeated keys).
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown or repeated key, or says that this is not
+    /// an object.
+    pub fn check_keys(&self, allowed: &[&str]) -> Result<(), String> {
+        let entries = self.as_object().ok_or("must be a JSON object")?;
+        for (i, (key, _)) in entries.iter().enumerate() {
+            if !allowed.contains(&key.as_str()) {
+                let expected = allowed.join(", ");
+                return Err(format!("unknown key {key:?} (expected {expected})"));
+            }
+            if entries[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(format!("key {key:?} appears twice"));
+            }
+        }
+        Ok(())
+    }
+
     /// Parses one JSON document (strict: no trailing garbage, no
     /// comments, no trailing commas; `\uXXXX` escapes incl. surrogate
     /// pairs are decoded).

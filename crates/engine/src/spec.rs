@@ -214,6 +214,21 @@ pub fn cell_hash_canonical(
     sha256(preimage.as_bytes())
 }
 
+/// The keys a wire spec may carry: exactly the ones
+/// [`SweepSpec::canonical_json`] emits.
+const SPEC_KEYS: [&str; 10] = [
+    "kind",
+    "version",
+    "scenarios",
+    "policies",
+    "episodes",
+    "steps",
+    "seed",
+    "memory",
+    "chunk",
+    "dropout",
+];
+
 /// The wire form of one batch request: which scenarios, which policies,
 /// and the engine knobs that shape results.
 ///
@@ -271,15 +286,16 @@ impl SweepSpec {
     /// objects for learned ones:
     /// `{"drl": {"name": "my-net", "weights_hex": "<oic-nn blob>"}}`.
     /// The seed may be a JSON number (if integral) or a string (full
-    /// `u64` range — 64-bit values do not fit in a JSON number).
+    /// `u64` range — 64-bit values do not fit in a JSON number). Keys
+    /// outside the canonical form, and repeated keys, are rejected, at
+    /// the top level and inside a `{"drl": …}` entry.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending field.
     pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        if doc.as_object().is_none() {
-            return Err("spec must be a JSON object".to_string());
-        }
+        doc.check_keys(&SPEC_KEYS)
+            .map_err(|e| format!("spec: {e}"))?;
         if let Some(kind) = doc.get("kind") {
             if kind.as_str() != Some("oic-sweep-spec") {
                 return Err(format!("unexpected kind {:?}", kind.to_json()));
@@ -362,6 +378,10 @@ impl SweepSpec {
         let drl = entry
             .get("drl")
             .ok_or("policy entries must be strings or {\"drl\": {…}} objects")?;
+        entry
+            .check_keys(&["drl"])
+            .and_then(|()| drl.check_keys(&["name", "weights_hex"]))
+            .map_err(|e| format!("drl policy: {e}"))?;
         let name = drl
             .get("name")
             .and_then(JsonValue::as_str)
@@ -747,6 +767,20 @@ mod tests {
     }
 
     #[test]
+    fn canonical_form_parses_back_as_the_same_spec() {
+        let spec = SweepSpec {
+            scenarios: vec!["acc".into()],
+            policies: vec![PolicySpec::BangBang, PolicySpec::Periodic(4)],
+            dropouts: vec![DropoutSpec::parse("mk-1-5").unwrap()],
+            ..Default::default()
+        };
+        let canonical = spec.canonical_json();
+        assert_eq!(canonical.as_object().map(<[_]>::len), Some(SPEC_KEYS.len()));
+        let parsed = SweepSpec::from_json(&canonical).unwrap();
+        assert_eq!(parsed.canonical_json(), canonical);
+    }
+
+    #[test]
     fn spec_rejections_name_the_field() {
         let no_policies = JsonValue::parse(r#"{"episodes": 5, "steps": 5}"#).unwrap();
         assert!(SweepSpec::from_json(&no_policies)
@@ -771,6 +805,17 @@ mod tests {
         assert!(SweepSpec::from_json(&bad_hex)
             .unwrap_err()
             .contains("weights_hex"));
+        // A misspelt or repeated key is an error, never a default.
+        let bad_keys = [
+            r#"{"policies":["always-run"],"episdes":7}"#,
+            r#"{"policies":["bang-bang"],"episodes":7,"episodes":9}"#,
+            r#"{"policies":[{"drl":{"name":"n","weights_hex":"0a","x":1}}]}"#,
+            r#"{"policies":[{"drl":{"name":"n","weights_hex":"0a"},"y":1}]}"#,
+        ];
+        for (doc, key) in bad_keys.into_iter().zip(["episdes", "episodes", "x", "y"]) {
+            let err = SweepSpec::from_json(&JsonValue::parse(doc).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("key {key:?}")), "{doc}: {err}");
+        }
         // A full u64 seed survives the string form.
         let big =
             JsonValue::parse(r#"{"policies": ["bang-bang"], "seed": "18446744073709551615"}"#)

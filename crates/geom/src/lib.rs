@@ -8,10 +8,10 @@
 //! sets). No reachability crates exist offline, so this crate implements
 //! them from scratch on top of [`oic_lp`].
 //!
-//! Sets are represented in **halfspace form** (`H-rep`): a [`Polytope`] is a
-//! conjunction of [`Halfspace`] constraints `aᵀx ≤ b`. [`Zonotope`]s are the
-//! second representation, used where Minkowski sums must stay exact (the
-//! Raković invariant-set approximation).
+//! Sets are represented in **halfspace form** (`H-rep`) only: a [`Polytope`]
+//! is a conjunction of [`Halfspace`] constraints `aᵀx ≤ b`. Every set the
+//! safety analysis builds (intersection, Minkowski difference, pre-image,
+//! projection) stays in that form.
 //!
 //! # Examples
 //!
@@ -27,17 +27,13 @@
 //! ```
 
 mod halfspace;
-mod hull2d;
 mod polytope;
 mod projection;
 mod support;
-mod zonotope;
 
 pub use halfspace::Halfspace;
-pub use hull2d::{convex_hull_2d, minkowski_sum_2d_vertex_reference, polytope_from_points_2d};
 pub use polytope::Polytope;
 pub use support::{AffineImage, SupportFunction};
-pub use zonotope::{canonical_unit, Zonotope};
 
 use std::error::Error;
 use std::fmt;

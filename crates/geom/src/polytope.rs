@@ -1,6 +1,6 @@
 //! Convex polytopes in halfspace representation.
 
-use oic_linalg::{LuDecomposition, Matrix};
+use oic_linalg::Matrix;
 use oic_lp::LinearProgram;
 
 use crate::{GeomError, Halfspace, SupportFunction};
@@ -76,11 +76,6 @@ impl Polytope {
             halfspaces.push(Halfspace::new(down, -lo[i]));
         }
         Self { dim, halfspaces }
-    }
-
-    /// The whole space `Rⁿ` (no constraints).
-    pub fn universe(dim: usize) -> Self {
-        Self::new(dim, Vec::new())
     }
 
     /// Ambient dimension.
@@ -233,44 +228,6 @@ impl Polytope {
         })
     }
 
-    /// Exact Minkowski sum `self ⊕ other` in any dimension, via the lifted
-    /// formulation `{ (x, y) : x − y ∈ self, y ∈ other }` projected back
-    /// onto `x` by Fourier–Motzkin elimination.
-    ///
-    /// The planar vertex-hull construction
-    /// ([`crate::minkowski_sum_2d_vertex_reference`]) is the independent
-    /// oracle this path is property-tested against; for sums with
-    /// zonotopes prefer staying in generator form
-    /// ([`crate::Zonotope::minkowski_sum`]), which is exact and cheap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::EmptySet`] when either operand is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn minkowski_sum(&self, other: &Polytope) -> Result<Polytope, GeomError> {
-        assert_eq!(self.dim, other.dim, "dimension mismatch in Minkowski sum");
-        if self.is_empty() || other.is_empty() {
-            return Err(GeomError::EmptySet);
-        }
-        let n = self.dim;
-        let mut rows = Vec::with_capacity(self.halfspaces.len() + other.halfspaces.len());
-        for h in &self.halfspaces {
-            // a·(x − y) ≤ b.
-            let mut normal = h.normal().to_vec();
-            normal.extend(h.normal().iter().map(|v| -v));
-            rows.push(Halfspace::new(normal, h.offset()));
-        }
-        for h in &other.halfspaces {
-            let mut normal = vec![0.0; n];
-            normal.extend_from_slice(h.normal());
-            rows.push(Halfspace::new(normal, h.offset()));
-        }
-        Ok(Polytope::new(2 * n, rows).project_to_first(n))
-    }
-
     /// Affine pre-image `{ x : M x + shift ∈ self }`.
     ///
     /// This is the workhorse of backward reachability: the paper's
@@ -301,33 +258,6 @@ impl Polytope {
         }
     }
 
-    /// Affine image `{ M x + shift : x ∈ self }` for invertible `M`.
-    ///
-    /// Returns `None` when `M` is singular (the image of a polytope under a
-    /// rank-deficient map is not representable exactly in H-rep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `M` is not square of the polytope dimension or `shift` has
-    /// the wrong length.
-    pub fn affine_image_invertible(&self, matrix: &Matrix, shift: &[f64]) -> Option<Polytope> {
-        assert!(matrix.is_square(), "image matrix must be square");
-        assert_eq!(matrix.rows(), self.dim, "matrix dimension mismatch");
-        assert_eq!(shift.len(), self.dim, "shift dimension mismatch");
-        let inv = LuDecomposition::new(matrix).ok()?.inverse().ok()?;
-        // y = Mx + c  ⇔  x = M⁻¹(y − c);  a·x ≤ b ⇔ (aᵀM⁻¹)·y ≤ b + aᵀM⁻¹c.
-        let mut halfspaces = Vec::with_capacity(self.halfspaces.len());
-        for h in &self.halfspaces {
-            let normal = inv.vec_mul(h.normal());
-            let shift_dot: f64 = normal.iter().zip(shift).map(|(a, c)| a * c).sum();
-            halfspaces.push(Halfspace::new(normal, h.offset() + shift_dot));
-        }
-        Some(Polytope {
-            dim: self.dim,
-            halfspaces,
-        })
-    }
-
     /// Translate by `t`: `{ x + t : x ∈ self }`.
     ///
     /// # Panics
@@ -337,23 +267,6 @@ impl Polytope {
         Polytope {
             dim: self.dim,
             halfspaces: self.halfspaces.iter().map(|h| h.translated(t)).collect(),
-        }
-    }
-
-    /// Scales about the origin: `{ α x : x ∈ self }`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha ≤ 0`.
-    pub fn scale(&self, alpha: f64) -> Polytope {
-        assert!(alpha > 0.0, "scale factor must be positive");
-        Polytope {
-            dim: self.dim,
-            halfspaces: self
-                .halfspaces
-                .iter()
-                .map(|h| Halfspace::new(h.normal().to_vec(), h.offset() * alpha))
-                .collect(),
         }
     }
 
@@ -444,26 +357,6 @@ impl Polytope {
             dim: self.dim,
             halfspaces,
         }
-    }
-
-    /// An extreme point achieving the support value in direction `d`
-    /// (an argmax of `d·x` over the set).
-    ///
-    /// # Errors
-    ///
-    /// * [`GeomError::EmptySet`] — the polytope is empty.
-    /// * [`GeomError::Unbounded`] — unbounded in direction `d`.
-    pub fn extreme_point(&self, direction: &[f64]) -> Result<Vec<f64>, GeomError> {
-        assert_eq!(direction.len(), self.dim, "direction dimension mismatch");
-        if self.halfspaces.is_empty() {
-            return Err(GeomError::Unbounded);
-        }
-        let mut lp = LinearProgram::maximize(direction);
-        for h in &self.halfspaces {
-            lp.add_le(h.normal(), h.offset());
-        }
-        let sol = lp.solve().map_err(GeomError::from)?;
-        Ok(sol.x().to_vec())
     }
 
     /// Area of a bounded 2-D polytope (shoelace formula over the vertex
@@ -638,7 +531,7 @@ mod tests {
         let p = Polytope::new(2, hs);
         assert!(p.is_empty());
         assert!(!unit_box().is_empty());
-        assert!(!Polytope::universe(3).is_empty());
+        assert!(!Polytope::new(3, Vec::new()).is_empty());
     }
 
     #[test]
@@ -685,27 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn affine_image_roundtrip() {
-        let b = unit_box();
-        let m = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]]);
-        let img = b.affine_image_invertible(&m, &[0.5, 0.0]).unwrap();
-        // Check via definition on sampled source points.
-        for x in [[1.0, 1.0], [-1.0, 1.0], [0.3, -0.7]] {
-            let y = [x[0] + x[1] + 0.5, x[1]];
-            assert!(img.contains(&y), "{y:?}");
-        }
-        assert!(!img.contains(&[3.0, 0.0]));
-    }
-
-    #[test]
-    fn translate_and_scale() {
-        let b = unit_box();
-        let t = b.translate(&[10.0, 0.0]);
+    fn translate_moves_the_set() {
+        let t = unit_box().translate(&[10.0, 0.0]);
         assert!(t.contains(&[10.5, 0.5]));
         assert!(!t.contains(&[0.0, 0.0]));
-        let s = b.scale(3.0);
-        assert!(s.contains(&[2.9, -2.9]));
-        assert!(!s.contains(&[3.1, 0.0]));
     }
 
     #[test]
@@ -773,18 +649,9 @@ mod tests {
 
     #[test]
     fn support_of_universe() {
-        let u = Polytope::universe(2);
+        let u = Polytope::new(2, Vec::new());
         assert_eq!(u.support(&[1.0, 0.0]).unwrap_err(), GeomError::Unbounded);
         assert_eq!(u.support(&[0.0, 0.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn extreme_point_achieves_support() {
-        let b = Polytope::from_box(&[-1.0, -2.0], &[3.0, 4.0]);
-        let p = b.extreme_point(&[1.0, 1.0]).unwrap();
-        assert!((p[0] - 3.0).abs() < 1e-9 && (p[1] - 4.0).abs() < 1e-9);
-        let q = b.extreme_point(&[-1.0, 0.0]).unwrap();
-        assert!((q[0] + 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -806,50 +673,6 @@ mod tests {
     fn area_of_degenerate_box_is_zero() {
         let flat = Polytope::from_box(&[-1.0, 0.0], &[1.0, 0.0]);
         assert!(flat.area_2d().unwrap().abs() < 1e-9);
-    }
-
-    #[test]
-    fn minkowski_sum_of_boxes_any_dim() {
-        let a = Polytope::from_box(&[-1.0, -1.0, -1.0], &[1.0, 1.0, 1.0]);
-        let b = Polytope::from_box(&[-0.5, -0.25, 0.0], &[0.5, 0.25, 0.0]);
-        let s = a.minkowski_sum(&b).unwrap();
-        assert_eq!(s.dim(), 3);
-        assert!(s.contains(&[1.5, 1.25, 1.0]));
-        assert!(!s.contains(&[1.6, 0.0, 0.0]));
-        assert!(!s.contains(&[0.0, 1.3, 0.0]));
-        assert!(!s.contains(&[0.0, 0.0, 1.1]));
-    }
-
-    #[test]
-    fn minkowski_sum_support_is_additive() {
-        let a = Polytope::from_box(&[-1.0, -2.0], &[3.0, 2.0]);
-        let b = Polytope::new(
-            2,
-            vec![
-                Halfspace::new(vec![-1.0, 0.0], 0.0),
-                Halfspace::new(vec![0.0, -1.0], 0.0),
-                Halfspace::new(vec![1.0, 1.0], 1.0),
-            ],
-        );
-        let s = a.minkowski_sum(&b).unwrap();
-        for dir in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-2.0, 0.5]] {
-            let lhs = s.support(&dir).unwrap();
-            let rhs = a.support(&dir).unwrap() + b.support(&dir).unwrap();
-            assert!((lhs - rhs).abs() < 1e-6, "dir {dir:?}: {lhs} vs {rhs}");
-        }
-    }
-
-    #[test]
-    fn minkowski_sum_empty_operand_errors() {
-        let a = Polytope::from_box(&[-1.0], &[1.0]);
-        let empty = Polytope::new(
-            1,
-            vec![
-                Halfspace::new(vec![1.0], 0.0),
-                Halfspace::new(vec![-1.0], -1.0),
-            ],
-        );
-        assert_eq!(a.minkowski_sum(&empty).unwrap_err(), GeomError::EmptySet);
     }
 
     #[test]

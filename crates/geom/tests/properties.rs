@@ -1,10 +1,8 @@
-//! Property-based tests of the polytope/zonotope layer: the set operations
+//! Property-based tests of the polytope layer: the set operations
 //! must *transport membership* correctly, which is exactly what the safety
 //! machinery relies on.
 
-use oic_geom::{
-    minkowski_sum_2d_vertex_reference, polytope_from_points_2d, Polytope, SupportFunction, Zonotope,
-};
+use oic_geom::{Halfspace, Polytope, SupportFunction};
 use oic_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -105,60 +103,6 @@ proptest! {
             prop_assert!(projected.contains_with_tol(&x, 1e-6));
         }
     }
-
-    /// Zonotope support equals polytope support after conversion (2-D).
-    #[test]
-    fn zonotope_polytope_support_agree(
-        g1 in point2d(),
-        g2 in point2d(),
-        d in point2d(),
-    ) {
-        prop_assume!(d[0].abs() + d[1].abs() > 1e-6);
-        let z = Zonotope::new(vec![0.0, 0.0], vec![g1.to_vec(), g2.to_vec()]);
-        let p = z.to_polytope_2d().unwrap();
-        let hz = z.support(&d).unwrap();
-        let hp = p.support(&d).unwrap();
-        prop_assert!((hz - hp).abs() < 1e-6, "{hz} vs {hp}");
-    }
-
-    /// Zonotope membership agrees with its polytope form (2-D).
-    #[test]
-    fn zonotope_membership_agrees(g1 in point2d(), g2 in point2d(), x in point2d()) {
-        let z = Zonotope::new(vec![0.0, 0.0], vec![g1.to_vec(), g2.to_vec()]);
-        let p = z.to_polytope_2d().unwrap();
-        // Skip razor-thin boundary disagreements.
-        if p.min_slack(&x).abs() > 1e-6 {
-            prop_assert_eq!(z.contains(&x), p.contains(&x));
-        }
-    }
-
-    /// Minkowski sum on vertices: sums of member points are members, and
-    /// the dimension-generic projection path agrees with the retained
-    /// planar vertex-hull reference.
-    #[test]
-    fn minkowski_sum_contains_pointwise_sums(a in box2d(), b in box2d()) {
-        let s = a.minkowski_sum(&b).unwrap();
-        let reference = minkowski_sum_2d_vertex_reference(&a, &b).unwrap();
-        prop_assert!(s.set_eq(&reference, 1e-6).unwrap());
-        let va = a.vertices_2d().unwrap();
-        let vb = b.vertices_2d().unwrap();
-        for p in &va {
-            for q in &vb {
-                prop_assert!(s.contains_with_tol(&[p[0] + q[0], p[1] + q[1]], 1e-6));
-            }
-        }
-    }
-
-    /// V-rep → H-rep: hull of random points contains exactly the points.
-    #[test]
-    fn hull_contains_its_points(
-        pts in prop::collection::vec(point2d(), 3..12),
-    ) {
-        let p = polytope_from_points_2d(&pts).unwrap();
-        for pt in &pts {
-            prop_assert!(p.contains_with_tol(pt, 1e-6), "{pt:?} outside its own hull");
-        }
-    }
 }
 
 /// A random box in `dim` dimensions with a coupling halfspace that cuts it
@@ -179,16 +123,16 @@ fn lifted_box_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, [f6
     })
 }
 
-/// Random zonotope (dim + 1 generators) in dimensions 3–4 plus a query
-/// direction on the first two coordinates.
-fn lifted_zonotope_case() -> impl Strategy<Value = (Zonotope, [f64; 2])> {
+/// A random zonotope `c + G·[−1, 1]^{dim+1}` in dimensions 3–4, as its
+/// center and `dim + 1` generators, plus a query direction on the first
+/// two coordinates.
+fn zonotope_case() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>, [f64; 2])> {
     (3usize..=4).prop_flat_map(|dim| {
         (
             prop::collection::vec(-1.0f64..1.0, dim),
             prop::collection::vec(prop::collection::vec(-1.0f64..1.0, dim), dim + 1),
             point2d(),
         )
-            .prop_map(|(center, generators, d)| (Zonotope::new(center, generators), d))
     })
 }
 
@@ -230,39 +174,40 @@ proptest! {
         );
     }
 
-    /// Same cross-check against the *analytic* zonotope support: convert a
-    /// random n-D zonotope to H-rep, project to the first two coordinates,
-    /// and compare supports with the generator formula.
+    /// Same cross-check against an *analytic* support, so no LP sits on
+    /// the oracle side: lift a random zonotope to
+    /// `{ (x, ξ) : x = c + G·ξ, ‖ξ‖∞ ≤ 1 }`, project onto the first two
+    /// coordinates, and compare with `h(d) = c·d + Σᵢ |gᵢ·d|`.
     #[test]
-    fn projection_preserves_support_zonotopes((z, d) in lifted_zonotope_case()) {
+    fn projection_preserves_support_zonotopes((center, generators, d) in zonotope_case()) {
         prop_assume!(d[0].abs() + d[1].abs() > 1e-3);
-        let p = z.to_polytope().unwrap();
-        let projected = p.project_to_first(2);
-        let mut full_dir = vec![0.0; z.dim()];
-        full_dir[0] = d[0];
-        full_dir[1] = d[1];
-        let analytic = z.support(&full_dir).unwrap();
+        let (dim, k) = (center.len(), generators.len());
+        let mut rows = Vec::new();
+        for sign in [1.0, -1.0] {
+            // sign·(x_r − Σᵢ gᵢ[r]·ξᵢ) ≤ sign·c_r: the two halves of x = c + G·ξ.
+            for (r, c) in center.iter().enumerate() {
+                let mut normal = vec![0.0; dim + k];
+                normal[r] = sign;
+                for (i, g) in generators.iter().enumerate() {
+                    normal[dim + i] = -sign * g[r];
+                }
+                rows.push(Halfspace::new(normal, sign * c));
+            }
+        }
+        for i in dim..dim + k {
+            for sign in [1.0, -1.0] {
+                let mut normal = vec![0.0; dim + k];
+                normal[i] = sign;
+                rows.push(Halfspace::new(normal, 1.0));
+            }
+        }
+        let projected = Polytope::new(dim + k, rows).project_to_first(2);
+        let dot = |v: &[f64]| v[0] * d[0] + v[1] * d[1];
+        let analytic = dot(&center) + generators.iter().map(|g| dot(g).abs()).sum::<f64>();
         let via_projection = projected.support(&d).unwrap();
         prop_assert!(
             (analytic - via_projection).abs() < 1e-6,
-            "dim {}: analytic {} vs projected {}", z.dim(), analytic, via_projection
+            "dim {}: analytic {} vs projected {}", dim, analytic, via_projection
         );
-    }
-
-    /// The n-D H-rep conversion agrees with the analytic support function
-    /// in random directions (dimensions 3–4, including rank-deficient
-    /// generator sets).
-    #[test]
-    fn zonotope_to_polytope_supports_agree((z, d) in lifted_zonotope_case()) {
-        let p = z.to_polytope().unwrap();
-        let mut dir = vec![0.0; z.dim()];
-        dir[0] = d[0];
-        dir[1] = d[1];
-        if z.dim() > 2 {
-            dir[2] = 0.5 * (d[0] + d[1]);
-        }
-        let hz = z.support(&dir).unwrap();
-        let hp = p.support(&dir).unwrap();
-        prop_assert!((hz - hp).abs() < 1e-6, "{hz} vs {hp}");
     }
 }

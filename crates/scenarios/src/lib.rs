@@ -24,13 +24,9 @@
 //! Every scenario's sets pass [`oic_core::SafeSets::certify`] (exact LP
 //! inclusion certificates), so Theorem 1 holds for *any* skipping policy
 //! on *any* registered scenario — the property tests sweep exactly that.
-//! On top of the hierarchy, [`ScenarioInstance::tube`] derives the
-//! **certified minimal-RPI tube** of the controller's local loop on
-//! demand ([`certified_tube`]): the dimension-generic Raković synthesis
-//! plus an exact facet-by-facet support certificate, in 2, 3, and 4
-//! state dimensions alike. `build()` does not synthesize it, since no
-//! engine, service, or runtime path reads it; the `tube_certificates`
-//! tests derive and verify it for every registry scenario.
+//! `XI` is the tube MPC's feasible set (Proposition 1) or the maximal RPI
+//! set of the linear-feedback loop, in 2, 3 and 4 state dimensions alike;
+//! no minimal-RPI set enters a certificate.
 //!
 //! # Examples
 //!
@@ -42,18 +38,13 @@
 //! let scenario = registry.get("cstr").expect("registered");
 //! let instance = scenario.build().expect("builds and certifies");
 //! instance.sets().certify().expect("certificates hold");
-//! assert!(instance.tube().is_ok(), "certified RPI tube derives");
 //! ```
 
 use std::sync::OnceLock;
 
-use oic_control::{
-    rakovic_rpi_certified, ConstrainedLti, ControlError, Controller, InvariantOptions,
-    LinearFeedback, TubeMpc,
-};
+use oic_control::{ControlError, Controller, LinearFeedback, TubeMpc};
 use oic_core::{CoreError, DisturbanceProcess, IntermittentController, SafeSets, SkipPolicy};
-use oic_geom::{Polytope, Zonotope};
-use oic_linalg::Matrix;
+use oic_geom::Polytope;
 use rand::rngs::StdRng;
 
 pub mod disturbance;
@@ -130,43 +121,6 @@ impl Controller for ScenarioController {
     }
 }
 
-/// Synthesizes the **certified minimal-RPI tube** `Ξ` of a scenario's
-/// closed loop `A + BK`: the paper's `XI = α(W ⊕ A_K W ⊕ …)` construction
-/// via the dimension-generic [`rakovic_rpi_certified`]. Called on demand
-/// by [`ScenarioInstance::tube`], never by `build()` — the concrete
-/// witness that the Raković pipeline works for the plant, in any state
-/// dimension, which the `tube_certificates` tests check for every
-/// registry scenario.
-///
-/// The returned polytope is invariant **by construction**: its template
-/// offsets close the facet-by-facet support inequalities analytically
-/// (see [`oic_control::certify_template`]). [`oic_control::verify_rpi`]
-/// — the independent LP certificate — is deliberately left to the test
-/// suites (the `tube_certificates` integration tests).
-///
-/// The disturbance is taken as the centered box hull of the plant's `W`
-/// (every registry `W` is an origin-symmetric box, so this is exact).
-///
-/// # Errors
-///
-/// * [`CoreError::Control`] — tube synthesis failed (e.g. the closed loop
-///   is not strictly stable).
-pub fn certified_tube(plant: &ConstrainedLti, gain: &Matrix) -> Result<TubeCertificate, CoreError> {
-    let a_cl = plant.system().closed_loop(gain);
-    let w = tube_disturbance(plant)?;
-    let set = rakovic_rpi_certified(&a_cl, &w, &InvariantOptions::default())?;
-    Ok(TubeCertificate { set, a_cl, w })
-}
-
-/// The centered disturbance zonotope [`certified_tube`] certifies
-/// against: the box hull of the plant's `W`, re-centered at the origin.
-pub fn tube_disturbance(plant: &ConstrainedLti) -> Result<Zonotope, CoreError> {
-    let (lo, hi) = plant.disturbance_set().bounding_box()?;
-    let radii: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| 0.5 * (h - l)).collect();
-    let neg: Vec<f64> = radii.iter().map(|r| -r).collect();
-    Ok(Zonotope::from_box(&neg, &radii))
-}
-
 /// The bounding box `(lo, hi)` of the disturbance set `w()`, boxed by LP
 /// on the first call and read from `cell` on every later one — the
 /// per-episode `disturbance_process` of a scenario whose `W` reads no
@@ -177,47 +131,6 @@ pub(crate) fn disturbance_box(
 ) -> (Vec<f64>, Vec<f64>) {
     cell.get_or_init(|| w().bounding_box().expect("W is a bounded box"))
         .clone()
-}
-
-/// A certified minimal-RPI tube together with everything needed to
-/// re-check it: the closed loop `A_K` and the centered disturbance it was
-/// synthesized for. Self-contained, so test suites can run the
-/// independent LP certificate without reconstructing scenario gains.
-#[derive(Debug, Clone)]
-pub struct TubeCertificate {
-    set: Polytope,
-    a_cl: Matrix,
-    w: Zonotope,
-}
-
-impl TubeCertificate {
-    /// The certified RPI outer approximation `Ξ`.
-    pub fn set(&self) -> &Polytope {
-        &self.set
-    }
-
-    /// The closed-loop matrix `A + BK` the tube is invariant for.
-    pub fn closed_loop(&self) -> &Matrix {
-        &self.a_cl
-    }
-
-    /// The centered disturbance zonotope.
-    pub fn disturbance(&self) -> &Zonotope {
-        &self.w
-    }
-
-    /// Re-runs the exact facet-by-facet LP certificate
-    /// ([`oic_control::verify_rpi`]) — the independent check of the
-    /// analytic construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures as [`CoreError::Geometry`].
-    pub fn verify(&self, tol: f64) -> Result<bool, CoreError> {
-        Ok(oic_control::verify_rpi(
-            &self.set, &self.a_cl, &self.w, tol,
-        )?)
-    }
 }
 
 /// A fully built scenario: certified sets plus the controller they were
@@ -263,23 +176,6 @@ impl ScenarioInstance {
     /// The certified set hierarchy.
     pub fn sets(&self) -> &SafeSets {
         &self.sets
-    }
-
-    /// Derives the certified minimal-RPI tube `Ξ` ([`certified_tube`]) of
-    /// the controller's local loop `A + BK`: `K` is the feedback gain of a
-    /// linear controller, or the terminal gain of a tube MPC.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::MissingGain`] — a tube MPC built with an overridden
-    ///   terminal set and no terminal gain has no local loop.
-    /// * [`CoreError::Control`] — tube synthesis failed.
-    pub fn tube(&self) -> Result<TubeCertificate, CoreError> {
-        let gain = match &self.controller {
-            ScenarioController::Linear(feedback) => feedback.gain(),
-            ScenarioController::Tube(mpc) => mpc.terminal_gain().ok_or(CoreError::MissingGain)?,
-        };
-        certified_tube(self.sets.plant(), gain)
     }
 
     /// The underlying safe controller.
@@ -343,11 +239,6 @@ pub trait Scenario: Send + Sync {
     /// Builds the plant, controller, and **certified** set hierarchy
     /// ([`SafeSets::certify`], Theorem 1's premises).
     ///
-    /// Builds only what episodes read: the minimal-RPI tube is derived on
-    /// demand by [`ScenarioInstance::tube`], so a scenario whose tube
-    /// cannot be certified still builds — the `tube_certificates` tests
-    /// are what reject it.
-    ///
     /// # Errors
     ///
     /// Propagates set-synthesis and certification failures — a scenario
@@ -388,64 +279,6 @@ mod tests {
                 .disturbance_set()
                 .contains_with_tol(w, 1e-9));
         }
-    }
-
-    /// `A + B·K` for the instance's plant.
-    fn expected_loop(instance: &ScenarioInstance, gain: &Matrix) -> Matrix {
-        let sys = instance.sets().plant().system();
-        sys.a() + &(sys.b() * gain)
-    }
-
-    #[test]
-    fn tube_of_a_tube_mpc_uses_its_terminal_gain() {
-        for scenario in [
-            &AccScenario::default() as &dyn Scenario,
-            &LaneKeepingScenario::default(),
-        ] {
-            let instance = scenario.build().unwrap();
-            let ScenarioController::Tube(mpc) = instance.controller() else {
-                panic!("{} runs a tube MPC", scenario.name());
-            };
-            let gain = mpc.terminal_gain().expect("terminal set from a gain");
-            let tube = instance.tube().unwrap();
-            assert_eq!(
-                tube.closed_loop(),
-                &expected_loop(&instance, gain),
-                "{}",
-                scenario.name()
-            );
-        }
-    }
-
-    #[test]
-    fn tube_of_a_linear_controller_uses_its_feedback_gain() {
-        let instance = DoubleIntegratorScenario.build().unwrap();
-        let ScenarioController::Linear(feedback) = instance.controller() else {
-            panic!("double-integrator runs a linear feedback");
-        };
-        let tube = instance.tube().unwrap();
-        assert_eq!(
-            tube.closed_loop(),
-            &expected_loop(&instance, feedback.gain())
-        );
-        assert!(tube.verify(1e-6).unwrap());
-    }
-
-    #[test]
-    fn tube_of_a_gainless_tube_mpc_is_an_error() {
-        // An overridden terminal set without a terminal gain leaves the
-        // MPC with no local loop to certify a tube for.
-        let plant = LaneKeepingScenario::default().plant();
-        let mpc = oic_control::TubeMpcBuilder::new(plant.clone(), 1)
-            .terminal_set(Polytope::from_box(&[-0.5, -0.5], &[0.5, 0.5]))
-            .build()
-            .unwrap();
-        assert!(mpc.terminal_gain().is_none());
-        let invariant = plant.safe_set().clone();
-        let sets = SafeSets::new(plant, invariant, &oic_core::SkipInput::Zero).unwrap();
-        let instance =
-            ScenarioInstance::new("gainless", sets, ScenarioController::Tube(Box::new(mpc)));
-        assert_eq!(instance.tube().unwrap_err(), CoreError::MissingGain);
     }
 
     #[test]

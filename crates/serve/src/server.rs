@@ -851,22 +851,23 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected_without_a_stream() {
         let (_server, addr) = test_server();
-        let bad = "{\"policies\":[]}";
-        let request = format!(
-            "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{bad}",
-            bad.len()
-        );
-        let response = send(addr, &request);
-        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
-        assert!(http_body(&response).contains("\"error\""));
-        let unknown = r#"{"scenarios":["warp-drive"],"policies":["bang-bang"]}"#;
-        let request = format!(
-            "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{unknown}",
-            unknown.len()
-        );
-        let response = send(addr, &request);
-        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
-        assert!(http_body(&response).contains("warp-drive"));
+        for (bad, needle) in [
+            ("{\"policies\":[]}", "\"error\""),
+            (
+                r#"{"scenarios":["warp-drive"],"policies":["bang-bang"]}"#,
+                "warp-drive",
+            ),
+            // A misspelt key is an error, not a sweep on the defaults.
+            (r#"{"policies":["always-run"],"episdes":7}"#, "episdes"),
+        ] {
+            let request = format!(
+                "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{bad}",
+                bad.len()
+            );
+            let response = send(addr, &request);
+            assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+            assert!(http_body(&response).contains(needle), "{response}");
+        }
         let missing = send(addr, "GET /nope HTTP/1.1\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
     }

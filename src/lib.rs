@@ -10,7 +10,7 @@
 //!   sets, the runtime monitor, skipping policies (bang-bang, model-based
 //!   MIP, DRL), and Algorithm 1.
 //! * [`control`] ([`oic_control`]) — tube MPC, LQR, robust invariant sets.
-//! * [`geom`] ([`oic_geom`]) — polytopes, zonotopes, support functions,
+//! * [`geom`] ([`oic_geom`]) — polytopes, support functions,
 //!   Fourier–Motzkin projection.
 //! * [`lp`] ([`oic_lp`]) — simplex LP and branch-and-bound MILP.
 //! * [`linalg`] ([`oic_linalg`]) — small dense linear algebra.

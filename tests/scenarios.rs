@@ -36,23 +36,6 @@ fn registry_has_ten_scenarios() {
     assert!(registry().len() >= 10, "names: {:?}", registry().names());
 }
 
-/// Every scenario — including the 3-state CSTR and 4-state two-mass
-/// spring — carries the dimension-generic Raković tube certificate.
-#[test]
-fn every_scenario_has_certified_tube() {
-    for instance in instances() {
-        let tube = instance
-            .tube()
-            .unwrap_or_else(|e| panic!("{} derived no tube: {e}", instance.name()));
-        assert_eq!(
-            tube.set().dim(),
-            instance.sets().plant().system().state_dim(),
-            "{}",
-            instance.name()
-        );
-    }
-}
-
 /// Every registered scenario passes the LP inclusion certificates:
 /// `X′ ⊆ XI ⊆ X` and the skip closure `A·X′ + B·u_skip + W ⊆ XI`.
 #[test]
