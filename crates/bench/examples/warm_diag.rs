@@ -12,7 +12,7 @@ fn main() {
     let mpc = case.mpc();
 
     // Closed-loop rollout under adversarial alternating disturbances
-    // (shared fixture with the criterion benches and the kernels bin).
+    // (shared fixture with the kernels bin).
     let states = acc_closed_loop_states(mpc, 20);
 
     // Cold: a fresh warm state per step never reuses a basis.

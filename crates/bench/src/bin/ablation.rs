@@ -5,10 +5,10 @@
 //! Usage: `cargo run --release -p oic-bench --bin ablation -- [--cases N]
 //! [--steps N] [--seed N] [--out report.json]`
 
-use oic_bench::experiments::{ablation, ExperimentScale};
+use oic_bench::experiments::{ablation, ExperimentScale, EVAL_FLAGS};
 
 fn main() {
-    let scale = ExperimentScale::from_env_or_exit("ablation");
+    let scale = ExperimentScale::from_env_or_exit("ablation", EVAL_FLAGS);
     match ablation::run(&scale) {
         Ok(out) => {
             print!("{out}");

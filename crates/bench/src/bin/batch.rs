@@ -36,13 +36,10 @@
 
 use std::time::Instant;
 
-use oic_bench::experiments::{batch, ExperimentScale};
+use oic_bench::experiments::{batch, ExperimentScale, BATCH_FLAGS};
 
 fn main() {
-    let mut scale = ExperimentScale::from_env_or_exit("batch");
-    // The paper-scale default of 500 training episodes is a DRL knob; the
-    // sweep is policy-only, so only cases/steps/seed/engine knobs apply.
-    scale.train_episodes = 0;
+    let scale = ExperimentScale::from_env_or_exit("batch", BATCH_FLAGS);
     // Metrics are always on here: the wall-clock/scheduler stderr summary
     // below reads the snapshot, so logs and `--metrics` dumps share one
     // code path. Spans cost more (a ring write per episode), so tracing

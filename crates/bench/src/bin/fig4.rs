@@ -3,10 +3,10 @@
 //! Usage: `cargo run --release -p oic-bench --bin fig4 -- [--cases N]
 //! [--steps N] [--train N] [--seed N] [--out report.json]`
 
-use oic_bench::experiments::{fig4, ExperimentScale};
+use oic_bench::experiments::{fig4, ExperimentScale, FIG_FLAGS};
 
 fn main() {
-    let scale = ExperimentScale::from_env_or_exit("fig4");
+    let scale = ExperimentScale::from_env_or_exit("fig4", FIG_FLAGS);
     eprintln!(
         "fig4: {} cases x {} steps, {} training episodes (seed {})",
         scale.cases, scale.steps, scale.train_episodes, scale.seed

@@ -3,10 +3,10 @@
 //! Usage: `cargo run --release -p oic-bench --bin fig5 -- [--cases N]
 //! [--steps N] [--train N] [--seed N] [--out report.json]`
 
-use oic_bench::experiments::{fig5, ExperimentScale};
+use oic_bench::experiments::{fig5, ExperimentScale, FIG_FLAGS};
 
 fn main() {
-    let scale = ExperimentScale::from_env_or_exit("fig5");
+    let scale = ExperimentScale::from_env_or_exit("fig5", FIG_FLAGS);
     eprintln!(
         "fig5: 5 experiments x {} cases x {} steps, {} training episodes (seed {})",
         scale.cases, scale.steps, scale.train_episodes, scale.seed

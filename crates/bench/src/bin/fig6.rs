@@ -3,10 +3,10 @@
 //! Usage: `cargo run --release -p oic-bench --bin fig6 -- [--cases N]
 //! [--steps N] [--train N] [--seed N] [--out report.json]`
 
-use oic_bench::experiments::{fig6, ExperimentScale};
+use oic_bench::experiments::{fig6, ExperimentScale, FIG_FLAGS};
 
 fn main() {
-    let scale = ExperimentScale::from_env_or_exit("fig6");
+    let scale = ExperimentScale::from_env_or_exit("fig6", FIG_FLAGS);
     eprintln!(
         "fig6: 5 experiments x {} cases x {} steps, {} training episodes (seed {})",
         scale.cases, scale.steps, scale.train_episodes, scale.seed

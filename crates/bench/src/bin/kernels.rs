@@ -149,7 +149,7 @@ fn main() {
     let mpc = case.mpc();
     // A real closed-loop rollout under adversarial disturbances — the
     // resolve pattern every MPC-heavy engine episode produces (shared
-    // fixture with the criterion benches).
+    // fixture with the `warm_diag` example).
     let states = acc_closed_loop_states(mpc, 20);
 
     // --- Tube-MPC step: templated cold vs templated + warm. ---

@@ -3,10 +3,10 @@
 //! Usage: `cargo run --release -p oic-bench --bin timing -- [--cases N]
 //! [--steps N] [--seed N] [--out report.json]`
 
-use oic_bench::experiments::{timing, ExperimentScale};
+use oic_bench::experiments::{timing, ExperimentScale, EVAL_FLAGS};
 
 fn main() {
-    let scale = ExperimentScale::from_env_or_exit("timing");
+    let scale = ExperimentScale::from_env_or_exit("timing", EVAL_FLAGS);
     eprintln!("timing: seed {}", scale.seed);
     match timing::run(&scale) {
         Ok(report) => {

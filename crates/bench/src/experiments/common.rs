@@ -8,13 +8,13 @@ use oic_sim::fuel::Hbefa3Fuel;
 
 /// Size knobs shared by all experiment binaries.
 ///
-/// Defaults match the paper's protocol (500 cases × 100 steps); pass
-/// `--cases/--steps/--train/--seed` on the command line to scale, and
-/// `--out report.json` to save the machine-readable report. The
-/// engine-backed sweeps additionally honor `--threads N` (0 = all
-/// cores), `--chunk N` (episodes per work-stealing task, 0 = auto) and
-/// `--stream`/`--detail` (drop or keep per-episode records; streaming is
-/// the default and keeps memory O(cells)).
+/// Defaults match the paper's protocol (500 cases × 100 steps). Each bin
+/// accepts only the flags it reads: [`FIG_FLAGS`], [`EVAL_FLAGS`] or
+/// [`BATCH_FLAGS`]. The engine-backed sweep additionally honors
+/// `--threads N` (0 = all cores), `--chunk N` (episodes per
+/// work-stealing task, 0 = auto) and `--stream`/`--detail` (drop or keep
+/// per-episode records; streaming is the default and keeps memory
+/// O(cells)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Number of random test cases per experiment.
@@ -87,10 +87,65 @@ impl Default for ExperimentScale {
     }
 }
 
-/// The flags [`ExperimentScale::from_args`] accepts, for usage text.
-const USAGE_FLAGS: &str = "[--cases N] [--steps N] [--train N] [--seed N] [--threads N] \
-[--chunk N] [--stream|--detail] [--policies drl:<path>[,...]] [--out FILE] [--metrics FILE] \
-[--trace FILE] [--cache-dir DIR] [--shard i/n] [--dropout LABEL[,...]] [--fault-plan FILE]";
+/// Every flag [`ExperimentScale::from_args`] knows, in usage order, with
+/// the value its usage shows (empty for a switch).
+const FLAGS: [(&str, &str); 16] = [
+    ("--cases", "N"),
+    ("--steps", "N"),
+    ("--train", "N"),
+    ("--seed", "N"),
+    ("--threads", "N"),
+    ("--chunk", "N"),
+    ("--stream", ""),
+    ("--detail", ""),
+    ("--policies", "drl:<path>[,...]"),
+    ("--out", "FILE"),
+    ("--metrics", "FILE"),
+    ("--trace", "FILE"),
+    ("--cache-dir", "DIR"),
+    ("--shard", "i/n"),
+    ("--dropout", "LABEL[,...]"),
+    ("--fault-plan", "FILE"),
+];
+
+/// The flags of the `fig4`, `fig5` and `fig6` bins.
+pub const FIG_FLAGS: &[&str] = &["--cases", "--steps", "--train", "--seed", "--out"];
+
+/// The flags of the `timing` and `ablation` bins, which train no policy.
+pub const EVAL_FLAGS: &[&str] = &["--cases", "--steps", "--seed", "--out"];
+
+/// The flags of the `batch` bin: every flag but `--train`, since the
+/// sweep trains no policy.
+pub const BATCH_FLAGS: &[&str] = &[
+    "--cases",
+    "--steps",
+    "--seed",
+    "--threads",
+    "--chunk",
+    "--stream",
+    "--detail",
+    "--policies",
+    "--out",
+    "--metrics",
+    "--trace",
+    "--cache-dir",
+    "--shard",
+    "--dropout",
+    "--fault-plan",
+];
+
+/// The usage text of a bin whose flags are `accepted`.
+fn usage(accepted: &[&str]) -> String {
+    let shown: Vec<String> = FLAGS
+        .iter()
+        .filter(|(flag, _)| accepted.contains(flag))
+        .map(|(flag, value)| match *value {
+            "" => format!("[{flag}]"),
+            value => format!("[{flag} {value}]"),
+        })
+        .collect();
+    shown.join(" ")
+}
 
 /// Why a bin's argument parser produced no arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,23 +209,32 @@ fn list_entries(value: &str) -> impl Iterator<Item = String> + '_ {
 }
 
 impl ExperimentScale {
-    /// Parses `--cases N --steps N --train N --seed N --threads N
-    /// --chunk N --stream --detail --policies LIST --out FILE --metrics
-    /// FILE --trace FILE --cache-dir DIR --shard i/n --dropout LIST
-    /// --fault-plan FILE` from an argument iterator.
+    /// Parses the `accepted` subset of `--cases N --steps N --train N
+    /// --seed N --threads N --chunk N --stream --detail --policies LIST
+    /// --out FILE --metrics FILE --trace FILE --cache-dir DIR --shard i/n
+    /// --dropout LIST --fault-plan FILE` from an argument iterator.
     ///
     /// # Errors
     ///
     /// [`ArgsError::Help`] for `--help`, and [`ArgsError::Invalid`] for
-    /// an unknown flag, a flag missing its value, or a number that does
-    /// not parse — nothing falls back to a default silently.
-    fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgsError> {
+    /// a flag outside `accepted`, a flag missing its value, or a number
+    /// that does not parse — no flag is ignored and nothing falls back to
+    /// a default silently.
+    fn from_args<I: IntoIterator<Item = String>>(
+        args: I,
+        accepted: &[&str],
+    ) -> Result<Self, ArgsError> {
         let mut scale = Self::default();
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
+            if flag == "--help" {
+                return Err(ArgsError::Help);
+            }
+            if !accepted.contains(&flag.as_str()) {
+                return Err(ArgsError::Invalid(format!("unknown argument {flag:?}")));
+            }
             let args = &mut args;
             match flag.as_str() {
-                "--help" => return Err(ArgsError::Help),
                 "--cases" => scale.cases = flag_number(args, &flag)?,
                 "--steps" => scale.steps = flag_number(args, &flag)?,
                 "--train" => scale.train_episodes = flag_number(args, &flag)?,
@@ -197,11 +261,13 @@ impl ExperimentScale {
         Ok(scale)
     }
 
-    /// Parses the process arguments of the `bin` binary. `--help` prints
-    /// the usage to stdout and exits 0; invalid input prints the problem
-    /// and the usage to stderr and exits 2.
-    pub fn from_env_or_exit(bin: &str) -> Self {
-        parsed_or_exit(bin, USAGE_FLAGS, Self::from_args(std::env::args().skip(1)))
+    /// Parses the process arguments of the `bin` binary, whose flags are
+    /// `accepted`. `--help` prints the usage to stdout and exits 0;
+    /// invalid input prints the problem and the usage to stderr and
+    /// exits 2.
+    pub fn from_env_or_exit(bin: &str, accepted: &[&str]) -> Self {
+        let parsed = Self::from_args(std::env::args().skip(1), accepted);
+        parsed_or_exit(bin, &usage(accepted), parsed)
     }
 
     /// The scale parameters every JSON report carries (so a saved report
@@ -255,55 +321,69 @@ impl EpisodeComparison {
     }
 }
 
-/// Runs one test case: the same initial state and front trace under the
-/// RMPC-only baseline and under `policy`.
+/// Runs `policy` for `steps` steps from `initial_state` behind `front`,
+/// metering fuel with the HBEFA3 model.
 ///
 /// # Errors
 ///
 /// Propagates episode failures (which indicate a precondition violation —
 /// they abort the experiment rather than being averaged away).
+pub fn run_case(
+    case: &AccCaseStudy,
+    policy: &mut dyn SkipPolicy,
+    front: Box<dyn FrontModel>,
+    initial_state: [f64; 2],
+    steps: usize,
+) -> Result<EpisodeOutcome, CoreError> {
+    case.run_episode(EpisodeConfig {
+        policy,
+        front,
+        fuel: Box::new(Hbefa3Fuel::default()),
+        steps,
+        initial_state,
+        oracle_forecast: false,
+    })
+}
+
+/// Runs one test case: the same initial state and front trace under the
+/// RMPC-only baseline and under `policy`.
+///
+/// # Errors
+///
+/// Propagates [`run_case`] failures.
 pub fn compare_on_case(
     case: &AccCaseStudy,
     policy: &mut dyn SkipPolicy,
     front_factory: &mut dyn FnMut() -> Box<dyn FrontModel>,
     initial_state: [f64; 2],
     steps: usize,
-    oracle_forecast: bool,
 ) -> Result<EpisodeComparison, CoreError> {
-    let mut always = oic_core::AlwaysRunPolicy;
-    let baseline = case.run_episode(EpisodeConfig {
-        policy: &mut always,
-        front: front_factory(),
-        fuel: Box::new(Hbefa3Fuel::default()),
-        steps,
+    let baseline = run_case(
+        case,
+        &mut oic_core::AlwaysRunPolicy,
+        front_factory(),
         initial_state,
-        oracle_forecast: false,
-    })?;
-    let policy_outcome = case.run_episode(EpisodeConfig {
-        policy,
-        front: front_factory(),
-        fuel: Box::new(Hbefa3Fuel::default()),
         steps,
-        initial_state,
-        oracle_forecast,
-    })?;
-    Ok(EpisodeComparison {
-        baseline,
-        policy: policy_outcome,
-    })
+    )?;
+    let policy = run_case(case, policy, front_factory(), initial_state, steps)?;
+    Ok(EpisodeComparison { baseline, policy })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<ExperimentScale, ArgsError> {
-        ExperimentScale::from_args(args.iter().map(|s| s.to_string()))
+    fn parse(accepted: &[&str], args: &[&str]) -> Result<ExperimentScale, ArgsError> {
+        ExperimentScale::from_args(args.iter().map(|s| s.to_string()), accepted)
+    }
+
+    fn unknown(flag: &str) -> Result<ExperimentScale, ArgsError> {
+        Err(ArgsError::Invalid(format!("unknown argument {flag:?}")))
     }
 
     #[test]
     fn scale_parsing() {
-        let scale = parse(&["--cases", "20", "--train", "5", "--seed", "7"]).unwrap();
+        let scale = parse(FIG_FLAGS, &["--cases", "20", "--train", "5", "--seed", "7"]).unwrap();
         assert_eq!(scale.cases, 20);
         assert_eq!(scale.train_episodes, 5);
         assert_eq!(scale.seed, 7);
@@ -312,47 +392,58 @@ mod tests {
         assert!(scale.stream, "streaming is the default");
         // Unknown flags are rejected, not skipped.
         assert_eq!(
-            parse(&["--cases", "20", "--junk", "--seed", "7"]),
-            Err(ArgsError::Invalid("unknown argument \"--junk\"".into()))
+            parse(FIG_FLAGS, &["--cases", "20", "--junk", "--seed", "7"]),
+            unknown("--junk")
         );
     }
 
     #[test]
     fn bad_values_are_rejected_not_defaulted() {
         assert_eq!(
-            parse(&["--cases", "abc"]),
+            parse(EVAL_FLAGS, &["--cases", "abc"]),
             Err(ArgsError::Invalid(
                 "--cases expects a number, got \"abc\"".into()
             ))
         );
         assert_eq!(
-            parse(&["--seed"]),
+            parse(EVAL_FLAGS, &["--seed"]),
             Err(ArgsError::Invalid("--seed needs a value".into()))
         );
         assert_eq!(
-            parse(&["--out"]),
+            parse(EVAL_FLAGS, &["--out"]),
             Err(ArgsError::Invalid("--out needs a value".into()))
         );
         assert!(
-            parse(&["--kernel", "scalar"]).is_err(),
+            parse(EVAL_FLAGS, &["--kernel", "scalar"]).is_err(),
             "removed flags must not silently run the default"
         );
-        assert_eq!(parse(&["--cases", "5", "--help"]), Err(ArgsError::Help));
+        assert_eq!(
+            parse(EVAL_FLAGS, &["--cases", "5", "--help"]),
+            Err(ArgsError::Help)
+        );
     }
 
     #[test]
     fn scale_parsing_engine_knobs() {
-        let scale = parse(&["--threads", "16", "--chunk", "64", "--detail"]).unwrap();
+        let scale = parse(
+            BATCH_FLAGS,
+            &["--threads", "16", "--chunk", "64", "--detail"],
+        )
+        .unwrap();
         assert_eq!(scale.threads, 16);
         assert_eq!(scale.chunk, 64);
         assert!(!scale.stream);
-        let streamed = parse(&["--stream"]).unwrap();
+        let streamed = parse(BATCH_FLAGS, &["--stream"]).unwrap();
         assert!(streamed.stream);
     }
 
     #[test]
     fn scale_parsing_cache_and_shard() {
-        let scale = parse(&["--cache-dir", "/tmp/cells", "--shard", "1/4"]).unwrap();
+        let scale = parse(
+            BATCH_FLAGS,
+            &["--cache-dir", "/tmp/cells", "--shard", "1/4"],
+        )
+        .unwrap();
         assert_eq!(scale.cache_dir.as_deref(), Some("/tmp/cells"));
         assert_eq!(scale.shard.as_deref(), Some("1/4"));
         let default = ExperimentScale::default();
@@ -361,7 +452,11 @@ mod tests {
 
     #[test]
     fn scale_parsing_fault_knobs() {
-        let scale = parse(&["--dropout", "none,mk-1-5", "--fault-plan", "plan.json"]).unwrap();
+        let scale = parse(
+            BATCH_FLAGS,
+            &["--dropout", "none,mk-1-5", "--fault-plan", "plan.json"],
+        )
+        .unwrap();
         assert_eq!(scale.dropout, ["none", "mk-1-5"]);
         assert_eq!(scale.fault_plan.as_deref(), Some("plan.json"));
         let default = ExperimentScale::default();
@@ -370,15 +465,54 @@ mod tests {
 
     #[test]
     fn scale_parsing_policy_entries() {
-        let scale = parse(&[
-            "--policies",
-            "drl:a.bin,drl:b.bin",
-            "--policies",
-            "drl:c.bin",
-        ])
+        let scale = parse(
+            BATCH_FLAGS,
+            &[
+                "--policies",
+                "drl:a.bin,drl:b.bin",
+                "--policies",
+                "drl:c.bin",
+            ],
+        )
         .unwrap();
         assert_eq!(scale.policies, ["drl:a.bin", "drl:b.bin", "drl:c.bin"]);
         assert!(ExperimentScale::default().policies.is_empty());
+    }
+
+    #[test]
+    fn each_bin_accepts_only_the_flags_it_reads() {
+        // fig4/5/6 train a policy; timing, ablation and batch do not.
+        assert_eq!(
+            parse(FIG_FLAGS, &["--train", "5"]).unwrap().train_episodes,
+            5
+        );
+        assert_eq!(parse(BATCH_FLAGS, &["--train", "5"]), unknown("--train"));
+        for flag in ["--train", "--dropout", "--threads", "--fault-plan"] {
+            assert_eq!(parse(EVAL_FLAGS, &[flag, "1"]), unknown(flag));
+        }
+        for flag in ["--threads", "--metrics", "--trace", "--shard"] {
+            assert_eq!(parse(FIG_FLAGS, &[flag, "1"]), unknown(flag));
+        }
+        assert_eq!(
+            usage(EVAL_FLAGS),
+            "[--cases N] [--steps N] [--seed N] [--out FILE]"
+        );
+        assert_eq!(
+            usage(FIG_FLAGS),
+            "[--cases N] [--steps N] [--train N] [--seed N] [--out FILE]"
+        );
+        // Every known flag parses when accepted, and shows in the usage.
+        for (flag, value) in FLAGS {
+            let args: &[&str] = if value.is_empty() {
+                &[flag]
+            } else {
+                &[flag, "1"]
+            };
+            assert!(parse(&[flag], args).is_ok(), "{flag}");
+        }
+        for flag in BATCH_FLAGS {
+            assert!(usage(BATCH_FLAGS).contains(&format!("[{flag}")), "{flag}");
+        }
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! right of the bang-bang histogram.
 
 use oic_core::acc::AccCaseStudy;
-use oic_core::{BangBangPolicy, CoreError, SkipPolicy};
+use oic_core::{AlwaysRunPolicy, BangBangPolicy, CoreError, SkipPolicy};
 use oic_sim::front::SinusoidalFront;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::common::{compare_on_case, ExperimentScale};
+use super::common::{run_case, EpisodeComparison, ExperimentScale};
 use crate::table;
 
 /// Histogram bucket labels (paper x-axis plus a catch-all for regressions).
@@ -92,24 +92,21 @@ pub fn run(scale: &ExperimentScale) -> Result<Fig4Report, CoreError> {
     for case_idx in 0..scale.cases {
         let x0 = case.sample_initial_state(&mut rng);
         let front_seed = scale.seed ^ (0xF194 + case_idx as u64);
-        let mut front_factory = {
-            let params = params.clone();
-            move || -> Box<dyn oic_sim::front::FrontModel> {
-                Box::new(SinusoidalFront::new(&params, 40.0, 9.0, 1.0, front_seed))
-            }
+        // One always-run baseline serves both comparisons: every run of
+        // this case faces the same front trace from the same state.
+        let run = |policy: &mut dyn SkipPolicy| {
+            let front = SinusoidalFront::new(&params, 40.0, 9.0, 1.0, front_seed);
+            run_case(&case, policy, Box::new(front), x0, scale.steps)
         };
-
-        let mut bang = BangBangPolicy;
-        let cmp_bang =
-            compare_on_case(&case, &mut bang, &mut front_factory, x0, scale.steps, false)?;
-        let cmp_drl = compare_on_case(
-            &case,
-            &mut drl as &mut dyn SkipPolicy,
-            &mut front_factory,
-            x0,
-            scale.steps,
-            false,
-        )?;
+        let baseline = run(&mut AlwaysRunPolicy)?;
+        let cmp_bang = EpisodeComparison {
+            baseline: baseline.clone(),
+            policy: run(&mut BangBangPolicy)?,
+        };
+        let cmp_drl = EpisodeComparison {
+            baseline,
+            policy: run(&mut drl)?,
+        };
 
         report.bang_bang_counts[bucket_of(cmp_bang.fuel_saving())] += 1;
         report.drl_counts[bucket_of(cmp_drl.fuel_saving())] += 1;
@@ -117,7 +114,8 @@ pub fn run(scale: &ExperimentScale) -> Result<Fig4Report, CoreError> {
         report.mean_saving_drl += cmp_drl.fuel_saving();
         report.mean_skip_rate_bang_bang += cmp_bang.policy.stats.skip_rate();
         report.mean_skip_rate_drl += cmp_drl.policy.stats.skip_rate();
-        report.total_violations += cmp_bang.violations() + cmp_drl.violations();
+        // The shared baseline counts once.
+        report.total_violations += cmp_bang.violations() + cmp_drl.policy.summary.safety_violations;
     }
     let n = scale.cases.max(1) as f64;
     report.mean_saving_bang_bang /= n;

@@ -8,7 +8,7 @@
 //! tighter disturbance pattern is easier to learn.
 
 use oic_core::acc::AccCaseStudy;
-use oic_core::{CoreError, SkipPolicy};
+use oic_core::CoreError;
 use oic_sim::front::SmoothRandomFront;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,14 +90,7 @@ pub fn run(scale: &ExperimentScale) -> Result<Fig5Report, CoreError> {
             let mut front_factory = move || -> Box<dyn oic_sim::front::FrontModel> {
                 Box::new(SmoothRandomFront::new(range, ACCEL_RANGE, dt, front_seed))
             };
-            let cmp = compare_on_case(
-                &case,
-                &mut drl as &mut dyn SkipPolicy,
-                &mut front_factory,
-                x0,
-                scale.steps,
-                false,
-            )?;
+            let cmp = compare_on_case(&case, &mut drl, &mut front_factory, x0, scale.steps)?;
             mean_saving += cmp.fuel_saving();
             mean_skip += cmp.policy.stats.skip_rate();
             violations += cmp.violations();

@@ -14,7 +14,7 @@
 //! a lot because pure-random `v_f` degrades the RMPC baseline itself.
 
 use oic_core::acc::AccCaseStudy;
-use oic_core::{CoreError, SkipPolicy};
+use oic_core::CoreError;
 use oic_sim::front::{FrontModel, SinusoidalFront, SmoothRandomFront, UniformRandomFront};
 use oic_sim::AccParams;
 use rand::rngs::StdRng;
@@ -145,14 +145,7 @@ pub fn run(scale: &ExperimentScale) -> Result<Fig6Report, CoreError> {
             let params_ref = params.clone();
             let mut front_factory =
                 move || -> Box<dyn FrontModel> { reg.front(&params_ref, front_seed) };
-            let cmp = compare_on_case(
-                &case,
-                &mut drl as &mut dyn SkipPolicy,
-                &mut front_factory,
-                x0,
-                scale.steps,
-                false,
-            )?;
+            let cmp = compare_on_case(&case, &mut drl, &mut front_factory, x0, scale.steps)?;
             mean_saving += cmp.fuel_saving();
             mean_skip += cmp.policy.stats.skip_rate();
             mean_base_fuel += cmp.baseline.summary.total_fuel;

@@ -11,4 +11,6 @@ pub mod train;
 
 mod common;
 
-pub use common::{usage_exit, EpisodeComparison, ExperimentScale};
+pub use common::{
+    usage_exit, EpisodeComparison, ExperimentScale, BATCH_FLAGS, EVAL_FLAGS, FIG_FLAGS,
+};

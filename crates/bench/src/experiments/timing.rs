@@ -13,13 +13,13 @@
 use std::time::Instant;
 
 use oic_core::acc::AccCaseStudy;
-use oic_core::{BangBangPolicy, CoreError, Monitor, SkipPolicy};
+use oic_core::{BangBangPolicy, CoreError, Monitor};
 use oic_drl::{DoubleDqnAgent, DqnConfig};
 use oic_sim::front::SinusoidalFront;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::common::{compare_on_case, ExperimentScale};
+use super::common::{run_case, ExperimentScale};
 use crate::table;
 
 /// Timing + computation-saving results.
@@ -89,27 +89,10 @@ pub fn run(scale: &ExperimentScale) -> Result<TimingReport, CoreError> {
     let mut skipped = 0.0;
     for i in 0..episodes {
         let x0 = case.sample_initial_state(&mut rng);
-        let mut bang = BangBangPolicy;
         let front_seed = scale.seed ^ (0x71_31 + i as u64);
-        let params_ref = params.clone();
-        let mut factory = move || -> Box<dyn oic_sim::front::FrontModel> {
-            Box::new(SinusoidalFront::new(
-                &params_ref,
-                40.0,
-                9.0,
-                1.0,
-                front_seed,
-            ))
-        };
-        let cmp = compare_on_case(
-            &case,
-            &mut bang as &mut dyn SkipPolicy,
-            &mut factory,
-            x0,
-            scale.steps,
-            false,
-        )?;
-        skipped += cmp.policy.stats.skip_rate() * 100.0;
+        let front = SinusoidalFront::new(&params, 40.0, 9.0, 1.0, front_seed);
+        let outcome = run_case(&case, &mut BangBangPolicy, Box::new(front), x0, scale.steps)?;
+        skipped += outcome.stats.skip_rate() * 100.0;
     }
     let skipped_per_100 = skipped / episodes as f64;
 

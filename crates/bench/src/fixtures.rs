@@ -1,9 +1,9 @@
 //! Shared micro-benchmark fixtures.
 //!
-//! One definition serves the criterion benches (`benches/kernels.rs`),
-//! the `kernels` snapshot bin (which records `BENCH_kernels.json`), and
-//! the `warm_diag` example — so the committed perf trajectory is
-//! guaranteed to measure exactly the workload the bench suite runs.
+//! One definition serves the `kernels` snapshot bin (which records
+//! `BENCH_kernels.json`) and the `warm_diag` example, so the pivot
+//! counts the example prints come from exactly the workload the
+//! committed snapshot times.
 
 use oic_control::TubeMpc;
 use oic_lp::LinearProgram;

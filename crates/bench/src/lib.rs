@@ -12,11 +12,13 @@
 //! | Fig. 6 (velocity regularity) | `… --bin fig6` | [`experiments::fig6`] |
 //! | Scenario sweep (all registered plants, via `oic-engine`) | `… --bin batch` | [`experiments::batch`] |
 //!
-//! All binaries accept `--cases N --steps N --train N --seed N` to scale the
+//! All binaries accept `--cases N --steps N --seed N` to scale the
 //! experiment (defaults match the paper: 500 cases × 100 steps), plus
 //! `--out report.json` to save a machine-readable report — batch reports
 //! are seed-stable byte-for-byte, which makes `BENCH_*.json` perf
-//! trajectories reproducible.
+//! trajectories reproducible. The fig bins also take `--train N` (DRL
+//! training episodes) and `batch` takes the engine flags; any other flag
+//! is an error (see [`experiments::FIG_FLAGS`] and its siblings).
 
 pub mod experiments;
 pub mod fixtures;

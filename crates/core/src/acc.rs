@@ -13,7 +13,7 @@ use oic_sim::{AccParams, SimSummary, TrafficSim};
 use rand::Rng;
 
 use crate::{
-    CoreError, DisturbanceProcess, DrlPolicy, IntermittentController, RunStats, SafeSets,
+    CoreError, DisturbanceProcess, GreedyDrlPolicy, IntermittentController, RunStats, SafeSets,
     SkipInput, SkipPolicy, SkipRewardWeights, SkipTrainingEnv,
 };
 
@@ -213,9 +213,13 @@ impl AccCaseStudy {
     /// Trains a DQN skipping policy against a family of front-vehicle
     /// behaviours (`front_factory(episode_seed)` supplies one per episode).
     ///
-    /// Returns the trained policy and the training statistics. `memory` is
-    /// the paper's `r` (1 in §IV); reward weights default to the paper's
-    /// `w₁ = 0.01, w₂ = 0.0001`.
+    /// Returns the trained agent's greedy policy and the training
+    /// statistics. `memory` is the paper's `r` (1 in §IV).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memory` is 0: the policy needs at least one past
+    /// disturbance to tell its memory length from its input layer.
     pub fn train_drl(
         &self,
         front_factory: Box<dyn FnMut(u64) -> Box<dyn FrontModel>>,
@@ -223,7 +227,7 @@ impl AccCaseStudy {
         steps_per_episode: usize,
         memory: usize,
         seed: u64,
-    ) -> (DrlPolicy, TrainingStats) {
+    ) -> (GreedyDrlPolicy, TrainingStats) {
         let params = self.params.clone();
         let mut factory = front_factory;
         let disturbance_factory = Box::new(move |episode: u64| -> Box<dyn DisturbanceProcess> {
@@ -280,8 +284,9 @@ impl AccCaseStudy {
             seed,
         });
         let stats = train(&mut agent, &mut env, episodes, steps_per_episode);
-        agent.sync_target();
-        (DrlPolicy::new(agent, &self.sets, memory), stats)
+        let policy = GreedyDrlPolicy::from_bytes(&agent.save_weights(), &self.sets)
+            .expect("the agent's input layer is sized for these sets with memory >= 1");
+        (policy, stats)
     }
 }
 
@@ -392,6 +397,6 @@ mod tests {
             2,
         );
         assert_eq!(stats.episode_returns.len(), 5);
-        assert!(policy.agent().buffer_len() > 0);
+        assert_eq!(policy.memory(), 1);
     }
 }

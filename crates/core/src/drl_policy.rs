@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use oic_control::Controller;
-use oic_drl::{DoubleDqnAgent, Environment, StepOutcome};
+use oic_drl::{Environment, StepOutcome};
 use oic_geom::Polytope;
 use oic_linalg::vec_ops;
 use oic_nn::Mlp;
@@ -311,57 +311,12 @@ impl Environment for SkipTrainingEnv {
     }
 }
 
-/// A trained DQN as the runtime skipping policy `Ω`.
+/// A trained Q-network as the runtime skipping policy `Ω`, inference
+/// only.
 ///
-/// Wraps the greedy policy of a [`DoubleDqnAgent`] trained on
-/// [`SkipTrainingEnv`]; the encoder must use the same memory length `r`.
-pub struct DrlPolicy {
-    agent: DoubleDqnAgent,
-    encoder: StateEncoder,
-}
-
-impl DrlPolicy {
-    /// Creates the policy from a trained agent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the agent's input dimension disagrees with
-    /// `n + memory·n_w` for the given sets and memory.
-    pub fn new(agent: DoubleDqnAgent, sets: &SafeSets, memory: usize) -> Self {
-        let encoder = StateEncoder::from_sets(sets, memory);
-        assert_eq!(
-            agent.config().state_dim,
-            encoder.state_dim(),
-            "agent input dimension does not match encoder"
-        );
-        Self { agent, encoder }
-    }
-
-    /// Read access to the wrapped agent (e.g. for Q-value inspection).
-    pub fn agent(&self) -> &DoubleDqnAgent {
-        &self.agent
-    }
-}
-
-impl SkipPolicy for DrlPolicy {
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> SkipDecision {
-        let encoded = self.encoder.encode(ctx.state, ctx.w_history);
-        match self.agent.act_greedy(&encoded) {
-            0 => SkipDecision::Skip,
-            _ => SkipDecision::Run,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "drl"
-    }
-}
-
-/// A trained Q-network as an **inference-only** skipping policy.
-///
-/// Unlike [`DrlPolicy`] this carries no agent (no replay buffer, no
-/// optimizer, no exploration RNG) — just the network behind an [`Arc`]
-/// plus the scenario's `StateEncoder`. That makes it the right shape
+/// It carries no agent (no replay buffer, no optimizer, no exploration
+/// RNG) — just the network behind an [`Arc`] plus the scenario's
+/// `StateEncoder`. That makes it the right shape
 /// for the batch engine: the weight blob is decoded **once per policy**,
 /// the `Arc` is shared across all worker deques, and per-episode
 /// instantiation is a cheap clone. Action selection is greedy argmax with
@@ -500,7 +455,8 @@ impl SkipPolicy for GreedyDrlPolicy {
 mod tests {
     use super::*;
     use crate::acc::AccCaseStudy;
-    use oic_drl::DqnConfig;
+    use oic_drl::{DoubleDqnAgent, DqnConfig};
+    use rand::Rng;
 
     struct ZeroDisturbance(usize);
     impl DisturbanceProcess for ZeroDisturbance {
@@ -620,7 +576,7 @@ mod tests {
     fn greedy_policy_matches_agent_through_serialization() {
         // Train the agent a little so the weights are not the init values,
         // serialize, and check the inference-only policy reproduces the
-        // agent's greedy decisions exactly.
+        // agent's greedy decisions exactly on random states and histories.
         let case = AccCaseStudy::build_default().unwrap();
         let enc = StateEncoder::from_sets(case.sets(), 1);
         let mut agent = DoubleDqnAgent::new(DqnConfig {
@@ -645,10 +601,26 @@ mod tests {
         let blob = agent.save_weights();
         let mut greedy = GreedyDrlPolicy::from_bytes(&blob, case.sets()).unwrap();
         assert_eq!(greedy.memory(), 1, "inferred from the input layer");
-        for i in 0..20 {
-            let x = vec![0.5 * (i as f64 / 20.0), -0.3 * (i as f64 / 20.0)];
-            let history = vec![vec![0.05 * i as f64, 0.0]];
+        let (x_lo, x_hi) = case.sets().safe().bounding_box().unwrap();
+        let (w_lo, w_hi) = case
+            .sets()
+            .plant()
+            .disturbance_set()
+            .bounding_box()
+            .unwrap();
+        let draw = |rng: &mut StdRng, lo: &[f64], hi: &[f64]| -> Vec<f64> {
+            lo.iter()
+                .zip(hi)
+                .map(|(l, h)| rng.gen_range(*l..=*h))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(64);
+        for i in 0..64 {
+            let x = draw(&mut rng, &x_lo, &x_hi);
+            // 0, 1 or 2 past disturbances: padding, exact and truncation.
+            let history: Vec<Vec<f64>> = (0..i % 3).map(|_| draw(&mut rng, &w_lo, &w_hi)).collect();
             let encoded = enc.encode(&x, &history);
+            assert_eq!(greedy.network().forward(&encoded), agent.q_values(&encoded));
             let expected = agent.act_greedy(&encoded);
             assert_eq!(greedy.greedy_action(&x, &history), expected, "state {i}");
             let ctx = PolicyContext {
@@ -683,28 +655,5 @@ mod tests {
         let blob = agent.save_weights();
         let err = GreedyDrlPolicy::from_bytes(&blob[..blob.len() - 3], case.sets()).unwrap_err();
         assert!(matches!(err, CoreError::Policy { .. }), "{err}");
-    }
-
-    #[test]
-    fn drl_policy_maps_actions() {
-        let case = AccCaseStudy::build_default().unwrap();
-        let enc = StateEncoder::from_sets(case.sets(), 1);
-        let agent = DoubleDqnAgent::new(DqnConfig {
-            state_dim: enc.state_dim(),
-            num_actions: 2,
-            hidden: vec![8],
-            seed: 0,
-            ..DqnConfig::default()
-        });
-        let mut policy = DrlPolicy::new(agent, case.sets(), 1);
-        let ctx = PolicyContext {
-            state: &[0.0, 0.0],
-            w_history: &[],
-            w_forecast: &[],
-            time_step: 0,
-        };
-        // Untrained agent still returns a valid decision.
-        let d = policy.decide(&ctx);
-        assert!(matches!(d, SkipDecision::Skip | SkipDecision::Run));
     }
 }

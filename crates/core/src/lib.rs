@@ -16,7 +16,7 @@
 //! | runtime monitor (Fig. 2) | [`Monitor`] |
 //! | Algorithm 1 | [`IntermittentController::step`] |
 //! | `Ω` model-based, Eq. (6) | [`ModelBasedPolicy`] (MILP) |
-//! | `Ω` DRL-based (§III-B-2) | [`DrlPolicy`] + [`SkipTrainingEnv`] |
+//! | `Ω` DRL-based (§III-B-2) | [`GreedyDrlPolicy`], trained on [`SkipTrainingEnv`] |
 //! | bang-bang baseline, Eq. (7) | [`BangBangPolicy`] |
 //! | Theorem 1 | safety holds for **any** policy — see `tests/` property tests |
 //!
@@ -48,8 +48,7 @@ mod runtime;
 mod safe_sets;
 
 pub use drl_policy::{
-    DisturbanceProcess, DrlPolicy, EnergyMetric, GreedyDrlPolicy, SkipRewardWeights,
-    SkipTrainingEnv,
+    DisturbanceProcess, EnergyMetric, GreedyDrlPolicy, SkipRewardWeights, SkipTrainingEnv,
 };
 pub use error::CoreError;
 pub use model_based::ModelBasedPolicy;

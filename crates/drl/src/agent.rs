@@ -250,11 +250,6 @@ impl DoubleDqnAgent {
         Some(total_loss / batch.len() as f64)
     }
 
-    /// Forces a target-network sync (e.g. at the end of training).
-    pub fn sync_target(&mut self) {
-        self.target.copy_params_from(&self.online);
-    }
-
     /// Serializes the online network's weights (sufficient to restore the
     /// greedy policy; training state is not persisted).
     pub fn save_weights(&self) -> Vec<u8> {

@@ -95,11 +95,6 @@ impl AccParams {
         (x[0] + self.s_ref(), x[1] + self.v_ref())
     }
 
-    /// Deviation input `ũ = u − u*`.
-    pub fn input_to_deviation(&self, u: f64) -> f64 {
-        u - self.u_eq()
-    }
-
     /// Absolute input from a deviation input.
     pub fn input_from_deviation(&self, u_dev: f64) -> f64 {
         u_dev + self.u_eq()
@@ -172,7 +167,7 @@ mod tests {
         let a = p.a_matrix();
         let b = p.b_matrix();
         let x = p.to_deviation(s, v);
-        let u_dev = p.input_to_deviation(u);
+        let u_dev = u - p.u_eq();
         let w = p.disturbance(vf);
         let ax = a.mul_vec(&x);
         let bu = b.mul_vec(&[u_dev]);

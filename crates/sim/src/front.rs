@@ -9,7 +9,6 @@
 //! | Bounded random acceleration (Table I / Fig. 5, Ex.7) | [`SmoothRandomFront`] |
 //! | Completely random `v_f` (Ex.6) | [`UniformRandomFront`] |
 //! | Traffic-jam stop-and-go (§I motivation) | [`StopAndGoFront`] |
-//! | Aggressive accelerate/brake driver (§I motivation) | [`AggressiveFront`] |
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,62 +238,6 @@ impl FrontModel for StopAndGoFront {
     }
 }
 
-/// An aggressive driver: picks a random strong acceleration or deceleration
-/// and holds it for a short random burst, bouncing inside the admissible
-/// range — the "accelerates and decelerates frequently" pattern from the
-/// paper's introduction.
-#[derive(Debug, Clone)]
-pub struct AggressiveFront {
-    dt: f64,
-    range: (f64, f64),
-    max_accel: f64,
-    current: f64,
-    accel: f64,
-    burst_left: usize,
-    rng: StdRng,
-}
-
-impl AggressiveFront {
-    /// Creates the model with bursts of acceleration up to `max_accel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is inverted or `max_accel ≤ 0`.
-    pub fn new(range: (f64, f64), max_accel: f64, dt: f64, seed: u64) -> Self {
-        assert!(range.0 <= range.1, "velocity range inverted");
-        assert!(max_accel > 0.0, "max acceleration must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let current = rng.gen_range(range.0..=range.1);
-        Self {
-            dt,
-            range,
-            max_accel,
-            current,
-            accel: 0.0,
-            burst_left: 0,
-            rng,
-        }
-    }
-}
-
-impl FrontModel for AggressiveFront {
-    fn velocity(&mut self, _t: usize) -> f64 {
-        if self.burst_left == 0 {
-            // New burst: strong accel or brake, 3–12 steps.
-            let mag = self.rng.gen_range(0.5 * self.max_accel..=self.max_accel);
-            self.accel = if self.rng.gen_bool(0.5) { mag } else { -mag };
-            self.burst_left = self.rng.gen_range(3..=12);
-        }
-        self.burst_left -= 1;
-        self.current = (self.current + self.accel * self.dt).clamp(self.range.0, self.range.1);
-        self.current
-    }
-
-    fn range(&self) -> (f64, f64) {
-        self.range
-    }
-}
-
 /// Replays a pre-materialized velocity trace (repeating the last value when
 /// stepped past the end).
 ///
@@ -430,23 +373,6 @@ mod tests {
         for w in vs.windows(2) {
             assert!((w[1] - w[0]).abs() <= 0.5 + 1e-9, "bounded accel");
         }
-    }
-
-    #[test]
-    fn aggressive_changes_direction_often() {
-        let mut f = AggressiveFront::new((30.0, 50.0), 15.0, 0.1, 6);
-        let vs: Vec<f64> = (0..500).map(|t| f.velocity(t)).collect();
-        let mut direction_changes = 0;
-        for w in vs.windows(3) {
-            if (w[1] - w[0]) * (w[2] - w[1]) < 0.0 {
-                direction_changes += 1;
-            }
-        }
-        assert!(
-            direction_changes > 10,
-            "only {direction_changes} direction changes"
-        );
-        assert!(vs.iter().all(|v| (30.0..=50.0).contains(v)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   with the deviation-coordinate transform the safety analysis uses.
 //! * [`front`] — front-vehicle driver models: the sinusoidal pattern of
 //!   Eq. (8), bounded-acceleration random driving (Ex.1–5, Ex.7), i.i.d.
-//!   random velocities (Ex.6), stop-and-go, and an aggressive driver.
+//!   random velocities (Ex.6), and stop-and-go.
 //! * [`fuel`] — an HBEFA3-style polynomial fuel-rate model (the same
 //!   functional family SUMO evaluates) plus the paper's `‖u‖₁` actuation
 //!   energy.

@@ -71,9 +71,6 @@ pub struct TrafficSim {
     s: f64,
     v: f64,
     t: usize,
-    /// Front velocity already drawn for the upcoming step (see
-    /// [`peek_front_velocity`](Self::peek_front_velocity)).
-    pending_vf: Option<f64>,
     trace: Vec<StepRecord>,
 }
 
@@ -102,7 +99,6 @@ impl TrafficSim {
             s: s0,
             v: v0,
             t: 0,
-            pending_vf: None,
             trace: Vec::new(),
         }
     }
@@ -132,18 +128,6 @@ impl TrafficSim {
         &self.trace
     }
 
-    /// Peeks at the front vehicle's velocity for the **upcoming** step.
-    ///
-    /// Driver models are deterministic per instance, so this draws the value
-    /// once and caches it for the subsequent [`step`](Self::step) — the
-    /// model-based (oracle) skipping policy uses this to know `w(t)`.
-    pub fn peek_front_velocity(&mut self) -> f64 {
-        if self.pending_vf.is_none() {
-            self.pending_vf = Some(self.front.velocity(self.t));
-        }
-        self.pending_vf.expect("just set")
-    }
-
     /// Advances one step applying actuation `u` (absolute coordinates).
     pub fn step(&mut self, u: f64) -> StepRecord {
         self.step_annotated(u, false)
@@ -152,10 +136,7 @@ impl TrafficSim {
     /// Advances one step, annotating whether the controller computation was
     /// skipped (for skip-rate statistics).
     pub fn step_annotated(&mut self, u: f64, skipped: bool) -> StepRecord {
-        let vf = match self.pending_vf.take() {
-            Some(v) => v,
-            None => self.front.velocity(self.t),
-        };
+        let vf = self.front.velocity(self.t);
         let accel = self.params.acceleration(self.v, u);
         let fuel = self.fuel.consumption(&FuelContext {
             velocity: self.v,
@@ -184,21 +165,6 @@ impl TrafficSim {
     /// episode hot loop never reallocates mid-run.
     pub fn reserve_trace(&mut self, steps: usize) {
         self.trace.reserve(steps);
-    }
-
-    /// Renders the trace as CSV (header plus one row per step) for external
-    /// plotting.
-    pub fn trace_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("t,s,v,vf,u,fuel,skipped\n");
-        for r in &self.trace {
-            let _ = writeln!(
-                out,
-                "{},{:.6},{:.6},{:.6},{:.6},{:.6},{}",
-                r.t, r.s, r.v, r.vf, r.u, r.fuel, r.skipped as u8
-            );
-        }
-        out
     }
 
     /// Aggregates the trace into a [`SimSummary`].
@@ -264,25 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_consistent_with_step() {
-        let mut sim = sim_with(7);
-        let peeked = sim.peek_front_velocity();
-        let rec = sim.step(8.0);
-        assert_eq!(peeked, rec.vf, "peeked velocity must be the one applied");
-        // And peeking twice returns the same value.
-        let p1 = sim.peek_front_velocity();
-        let p2 = sim.peek_front_velocity();
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
     fn dynamics_match_params() {
         let mut sim = sim_with(1);
-        let vf = sim.peek_front_velocity();
         let (s0, v0) = (sim.distance(), sim.velocity());
-        sim.step(-10.0);
+        let record = sim.step(-10.0);
         let p = AccParams::default();
-        let (s1, v1) = p.step_absolute(s0, v0, vf, -10.0);
+        let (s1, v1) = p.step_absolute(s0, v0, record.vf, -10.0);
         assert!((sim.distance() - s1).abs() < 1e-12);
         assert!((sim.velocity() - v1).abs() < 1e-12);
     }
@@ -300,20 +253,6 @@ mod tests {
         assert_eq!(sum.skipped_steps, 1);
         assert!(sum.safety_violations >= 1);
         assert!((sum.total_actuation - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_csv_shape() {
-        let mut sim = sim_with(2);
-        sim.step_annotated(8.0, true);
-        sim.step_annotated(10.0, false);
-        let csv = sim.trace_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "t,s,v,vf,u,fuel,skipped");
-        assert!(lines[1].starts_with("0,150.000000,40.000000,"));
-        assert!(lines[1].ends_with(",1"));
-        assert!(lines[2].ends_with(",0"));
     }
 
     #[test]

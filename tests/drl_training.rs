@@ -85,7 +85,7 @@ fn training_is_deterministic_per_seed() {
             21,
         );
         (
-            policy.agent().q_values(&[0.1, 0.1, 0.0, 0.0]),
+            policy.network().forward(&[0.1, 0.1, 0.0, 0.0]),
             stats.episode_returns,
         )
     };
