@@ -12,7 +12,9 @@ fn main() {
     match ablation::run(&scale) {
         Ok(out) => {
             print!("{out}");
-            let json = scale.json_header("ablation").with("text", out.as_str());
+            let json = scale
+                .json_header("ablation", EVAL_FLAGS)
+                .with("text", out.as_str());
             if let Err(e) = scale.save_json(&json) {
                 eprintln!("failed to write report: {e}");
                 std::process::exit(1);

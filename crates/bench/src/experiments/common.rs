@@ -270,15 +270,21 @@ impl ExperimentScale {
         parsed_or_exit(bin, &usage(accepted), parsed)
     }
 
-    /// The scale parameters every JSON report carries (so a saved report
-    /// is reproducible from its own header).
-    pub fn json_header(&self, experiment: &str) -> oic_engine::JsonValue {
-        oic_engine::JsonValue::object()
+    /// The scale parameters a JSON report carries (so a saved report is
+    /// reproducible from its own header). `accepted` is the bin's flag
+    /// set: `train_episodes` is written only for a bin that takes
+    /// `--train`, since the others train nothing.
+    pub fn json_header(&self, experiment: &str, accepted: &[&str]) -> oic_engine::JsonValue {
+        let header = oic_engine::JsonValue::object()
             .with("experiment", experiment)
             .with("cases", self.cases)
-            .with("steps", self.steps)
-            .with("train_episodes", self.train_episodes)
-            .with("seed", self.seed.to_string())
+            .with("steps", self.steps);
+        let header = if accepted.contains(&"--train") {
+            header.with("train_episodes", self.train_episodes)
+        } else {
+            header
+        };
+        header.with("seed", self.seed.to_string())
     }
 
     /// Writes a JSON report to [`Self::out`] when set, logging the path.
@@ -379,6 +385,21 @@ mod tests {
 
     fn unknown(flag: &str) -> Result<ExperimentScale, ArgsError> {
         Err(ArgsError::Invalid(format!("unknown argument {flag:?}")))
+    }
+
+    #[test]
+    fn only_bins_that_train_record_train_episodes() {
+        let scale = ExperimentScale::default();
+        assert_eq!(
+            scale.json_header("fig4", FIG_FLAGS).to_json(),
+            r#"{"experiment":"fig4","cases":500,"steps":100,"train_episodes":300,"seed":"2020"}"#
+        );
+        for bin in ["timing", "ablation"] {
+            assert_eq!(
+                scale.json_header(bin, EVAL_FLAGS).to_json(),
+                format!(r#"{{"experiment":"{bin}","cases":500,"steps":100,"seed":"2020"}}"#)
+            );
+        }
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn run(scale: &ExperimentScale) -> Result<Fig4Report, CoreError> {
 pub fn to_json(report: &Fig4Report, scale: &ExperimentScale) -> oic_engine::JsonValue {
     use oic_engine::JsonValue;
     scale
-        .json_header("fig4")
+        .json_header("fig4", super::FIG_FLAGS)
         .with(
             "buckets",
             JsonValue::Array(BUCKETS.iter().map(|b| (*b).into()).collect()),

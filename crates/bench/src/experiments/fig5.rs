@@ -127,7 +127,7 @@ pub fn to_json(report: &Fig5Report, scale: &ExperimentScale) -> oic_engine::Json
         })
         .collect();
     scale
-        .json_header("fig5")
+        .json_header("fig5", super::FIG_FLAGS)
         .with("rows", JsonValue::Array(rows))
 }
 

@@ -182,7 +182,7 @@ pub fn to_json(report: &Fig6Report, scale: &ExperimentScale) -> oic_engine::Json
         })
         .collect();
     scale
-        .json_header("fig6")
+        .json_header("fig6", super::FIG_FLAGS)
         .with("rows", JsonValue::Array(rows))
 }
 

@@ -541,7 +541,7 @@ pub fn run_episode(
 /// by all workers (and by the lockstep kernel in [`crate::kernel`]).
 pub(crate) struct CellJob<'a> {
     pub(crate) scenario: &'a dyn Scenario,
-    pub(crate) instance: ScenarioInstance,
+    pub(crate) instance: &'a ScenarioInstance,
     pub(crate) prepared: PreparedPolicy,
     pub(crate) label: String,
     /// The cell's dropout variant and its canonical label (report key).
@@ -781,9 +781,10 @@ pub fn run_batch_opts(
         _ => vec![DropoutSpec::None],
     };
 
-    // Build every cell up front (instance construction — invariant-set
-    // synthesis — is the expensive, non-parallel part and is shared by
-    // all of the cell's chunks).
+    // Plan every cell up front. Each scenario's instance (invariant-set
+    // synthesis, the expensive serial part) comes from the registry,
+    // which builds it on the first sweep that names it and hands every
+    // later sweep the same instance; all of a scenario's cells borrow it.
     let mut jobs = Vec::with_capacity(registry.len() * policies.len() * dropouts.len());
     let mut cells_skipped_incompatible = 0usize;
     for scenario in registry.iter() {
@@ -792,18 +793,23 @@ pub fn run_batch_opts(
                 continue;
             }
         }
-        let instance = {
-            let _span =
-                oic_obs::span_with("engine.build", "engine", || scenario.name().to_string());
-            let timer = oic_obs::Stopwatch::start();
-            let built = scenario.build();
-            timer.stop_into(oic_obs::histogram!("scenario.build_ns", "ns"));
-            built
-        }
-        .map_err(|source| EngineError::Episode {
-            context: format!("{}/build", scenario.name()),
-            source,
-        })?;
+        // The span and histogram sit inside the build closure, so they
+        // count real builds, never memo lookups.
+        let instance = registry
+            .instance(scenario.name(), |scenario| {
+                let _span =
+                    oic_obs::span_with("engine.build", "engine", || scenario.name().to_string());
+                let timer = oic_obs::Stopwatch::start();
+                let built = scenario.build();
+                timer.stop_into(oic_obs::histogram!("scenario.build_ns", "ns"));
+                built
+            })
+            .expect("iterated scenarios are registered")
+            .as_ref()
+            .map_err(|source| EngineError::Episode {
+                context: format!("{}/build", scenario.name()),
+                source: source.clone(),
+            })?;
         for (((policy, network), label), canon) in
             policies.iter().zip(&networks).zip(&labels).zip(&canonical)
         {
@@ -843,7 +849,7 @@ pub fn run_batch_opts(
                 });
                 jobs.push(CellJob {
                     scenario,
-                    instance: instance.clone(),
+                    instance,
                     prepared: prepared.clone(),
                     label: label.clone(),
                     dropout: *dropout,

@@ -329,7 +329,8 @@ impl HistogramSnapshot {
 
 /// A started wall-clock measurement, `None` while metrics are disabled —
 /// so the disabled cost is the enable-gate load, never an `Instant::now()`.
-#[derive(Debug)]
+/// `Copy`, so one start can be stopped into several histograms.
+#[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Option<Instant>);
 
 impl Stopwatch {

@@ -239,6 +239,11 @@ pub trait Scenario: Send + Sync {
     /// Builds the plant, controller, and **certified** set hierarchy
     /// ([`SafeSets::certify`], Theorem 1's premises).
     ///
+    /// Must be a pure function of the scenario value: a
+    /// [`ScenarioRegistry`] builds each entry at most once and serves
+    /// that result to every later sweep ([`ScenarioRegistry::instance`]).
+    /// Calling `build` directly always builds afresh.
+    ///
     /// # Errors
     ///
     /// Propagates set-synthesis and certification failures — a scenario

@@ -2,14 +2,25 @@
 
 use crate::{
     AccScenario, CstrScenario, DcMotorScenario, DoubleIntegratorScenario, LaneKeepingScenario,
-    OrbitHoldScenario, PendulumCartScenario, QuadrotorAltScenario, Scenario, ThermalRcScenario,
-    TwoMassSpringScenario,
+    OrbitHoldScenario, PendulumCartScenario, QuadrotorAltScenario, Scenario, ScenarioInstance,
+    ThermalRcScenario, TwoMassSpringScenario,
 };
 
+use oic_core::CoreError;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A named collection of scenarios.
+///
+/// The registry builds each scenario **at most once**: [`instance`]
+/// memoizes an entry's build result (`Ok` or `Err`) on first use and
+/// hands every later caller the same value. That is sound because
+/// [`Scenario::build`] is a pure function of the registered scenario
+/// value and a registered value never changes, so the memo needs no key
+/// beyond the entry. A long-lived registry (the sweep server's, or an
+/// in-process caller that sweeps repeatedly) pays for each build once.
+///
+/// [`instance`]: Self::instance
 ///
 /// Besides the scenarios themselves, a registry entry can carry an
 /// optional **trained-policy weight blob** (`oic-nn` binary
@@ -27,8 +38,14 @@ use std::sync::Arc;
 /// ```
 #[derive(Default)]
 pub struct ScenarioRegistry {
-    scenarios: Vec<Box<dyn Scenario>>,
+    entries: Vec<Entry>,
     policy_weights: BTreeMap<&'static str, Arc<Vec<u8>>>,
+}
+
+/// A registered scenario and its build result, filled on first use.
+struct Entry {
+    scenario: Box<dyn Scenario>,
+    built: OnceLock<Result<ScenarioInstance, CoreError>>,
 }
 
 impl ScenarioRegistry {
@@ -66,35 +83,58 @@ impl ScenarioRegistry {
             "scenario {:?} is already registered",
             scenario.name()
         );
-        self.scenarios.push(scenario);
+        self.entries.push(Entry {
+            scenario,
+            built: OnceLock::new(),
+        });
+    }
+
+    fn entry(&self, name: &str) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.scenario.name() == name)
     }
 
     /// Looks a scenario up by name.
     pub fn get(&self, name: &str) -> Option<&dyn Scenario> {
-        self.scenarios
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_ref())
+        self.entry(name).map(|e| e.scenario.as_ref())
+    }
+
+    /// The built instance of the scenario registered as `name` (`None`
+    /// when nothing is): `build` runs on the first call for that entry,
+    /// and its result — `Ok` or `Err` — answers every later call on this
+    /// registry without running `build` again. Concurrent first calls
+    /// build once; the others wait for that result.
+    ///
+    /// `build` must return `scenario.build()` for the scenario it is
+    /// handed; it may wrap that call in passive telemetry (the batch
+    /// engine times it into its build span and histogram, which
+    /// therefore count real builds, not lookups).
+    pub fn instance(
+        &self,
+        name: &str,
+        build: impl FnOnce(&dyn Scenario) -> Result<ScenarioInstance, CoreError>,
+    ) -> Option<&Result<ScenarioInstance, CoreError>> {
+        let entry = self.entry(name)?;
+        Some(entry.built.get_or_init(|| build(entry.scenario.as_ref())))
     }
 
     /// All registered names, in registration order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.scenarios.iter().map(|s| s.name()).collect()
+        self.iter().map(|s| s.name()).collect()
     }
 
     /// Iterates the scenarios in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Scenario> {
-        self.scenarios.iter().map(|s| s.as_ref())
+        self.entries.iter().map(|e| e.scenario.as_ref())
     }
 
     /// Number of registered scenarios.
     pub fn len(&self) -> usize {
-        self.scenarios.len()
+        self.entries.len()
     }
 
     /// `true` when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
+        self.entries.is_empty()
     }
 
     /// Attaches a trained skipping-policy weight blob to a registered

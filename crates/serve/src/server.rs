@@ -26,6 +26,7 @@ use oic_engine::{
     run_batch_opts, to_hex, CacheStats, CellCache, CellReport, EngineError, JsonValue,
     SweepOptions, SweepSpec,
 };
+use oic_obs::Stopwatch;
 use oic_scenarios::ScenarioRegistry;
 
 use crate::http::{read_request, write_response, write_response_ext, write_stream_head, Request};
@@ -123,9 +124,11 @@ impl Inflight {
 
 /// The sweep service: registry + cell cache + coalescing table.
 ///
-/// Construction is cheap; scenario instances are built per sweep by the
-/// engine (and amortized by the cache). One server value is shared by
-/// every connection thread.
+/// Construction is cheap and builds nothing. The server's registry
+/// builds each scenario the first time a request names it and keeps the
+/// instance for the server's lifetime, so warm requests and repeat
+/// sweeps build nothing; cell results are amortized by the cache. One
+/// server value is shared by every connection thread.
 pub struct SweepServer {
     registry: ScenarioRegistry,
     cache: CellCache,
@@ -264,6 +267,8 @@ impl SweepServer {
                 return;
             }
         };
+        // Request latency runs from here, the request fully read.
+        let read = Stopwatch::start();
         match request {
             Request::Http { method, path, body } => match (method.as_str(), path.as_str()) {
                 ("GET", "/healthz") => {
@@ -278,7 +283,7 @@ impl SweepServer {
                         self.metrics_body().as_bytes(),
                     );
                 }
-                ("POST", "/v1/sweep") => self.sweep(&mut stream, &body, true),
+                ("POST", "/v1/sweep") => self.sweep(&mut stream, &body, true, read),
                 ("POST", "/v1/shutdown") => {
                     if self.config.allow_shutdown {
                         let _ = write_response(&mut stream, 200, "OK", "text/plain", b"draining\n");
@@ -311,7 +316,7 @@ impl SweepServer {
                 "metrics" => {
                     let _ = stream.write_all(self.metrics_body().as_bytes());
                 }
-                "sweep" => self.sweep(&mut stream, rest.as_bytes(), false),
+                "sweep" => self.sweep(&mut stream, rest.as_bytes(), false, read),
                 "shutdown" => {
                     if self.config.allow_shutdown {
                         let _ = stream.write_all(b"draining\n");
@@ -364,8 +369,11 @@ impl SweepServer {
         body
     }
 
-    fn sweep(self: &Arc<Self>, stream: &mut TcpStream, body: &[u8], http: bool) {
-        match self.sweep_inner(stream, body, http) {
+    /// Answers one sweep request and records `serve.request_ns`, from
+    /// `read` (the request fully read) to its last byte written — for
+    /// leaders, followers, cache-answered and rejected requests alike.
+    fn sweep(self: &Arc<Self>, stream: &mut TcpStream, body: &[u8], http: bool, read: Stopwatch) {
+        match self.sweep_inner(stream, body, http, read) {
             Ok(()) => {}
             Err(Reject::BadRequest(message)) => {
                 if http {
@@ -396,6 +404,7 @@ impl SweepServer {
                 }
             }
         }
+        read.stop_into(oic_obs::histogram!("serve.request_ns", "ns"));
     }
 
     /// Parses + validates the spec; `Err` means nothing was written yet
@@ -405,6 +414,7 @@ impl SweepServer {
         stream: &mut TcpStream,
         body: &[u8],
         http: bool,
+        read: Stopwatch,
     ) -> Result<(), Reject> {
         let text = std::str::from_utf8(body)
             .map_err(|_| Reject::BadRequest("spec is not UTF-8".to_string()))?;
@@ -466,7 +476,7 @@ impl SweepServer {
         // forever and the hash can never be swept again. The panic
         // degrades to an `error` trailer on the wire.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.run_as_leader(&spec, &hash, &inflight, stream)
+            self.run_as_leader(&spec, &hash, &inflight, stream, read)
         }));
         if let Err(payload) = &result {
             oic_obs::counter!("serve.sweep_panics", "sweeps").incr();
@@ -484,13 +494,16 @@ impl SweepServer {
 
     /// Runs the sweep, streaming NDJSON lines to both the socket and the
     /// in-flight buffer. From here on errors are emitted *into* the
-    /// stream (the 200 head is already out).
+    /// stream (the 200 head is already out). Records
+    /// `serve.first_cell_ns`, from `read` to the first cell line written
+    /// (leaders only: a follower replays these bytes).
     fn run_as_leader(
         &self,
         spec: &SweepSpec,
         hash: &[u8; 32],
         inflight: &Inflight,
         stream: &mut TcpStream,
+        read: Stopwatch,
     ) {
         // Socket + coalescing buffer behind one lock so worker threads
         // can emit completed cells directly. A dropped leader connection
@@ -530,6 +543,9 @@ impl SweepServer {
             pending.insert(g, line);
             while let Some(line) = pending.remove(next) {
                 emit_line(&line);
+                if *next == 0 {
+                    read.stop_into(oic_obs::histogram!("serve.first_cell_ns", "ns"));
+                }
                 oic_obs::counter!("serve.cells_streamed", "cells").incr();
                 *next += 1;
             }
