@@ -1,6 +1,6 @@
-//! Ablations over three design choices of the reproduction: the
-//! tightening recursion (open- or closed-loop), the skip-input semantics
-//! (zero input or physical coasting) and the MPC horizon.
+//! Ablations over two design choices of the reproduction: the
+//! skip-input semantics (zero input or physical coasting) and the MPC
+//! horizon.
 //!
 //! Usage: `cargo run --release -p oic-bench --bin ablation -- [--cases N]
 //! [--steps N] [--seed N] [--out report.json]`

@@ -1,34 +1,19 @@
-//! Ablations over three design choices this reproduction makes:
+//! Ablations over two design choices this reproduction makes:
 //!
-//! 1. **Tightening recursion** — the paper's open-loop `A^{k−1}W` versus
-//!    Chisci et al.'s closed-loop `(A+BK)^{k−1}W`: effect on the tightened
-//!    sets and the feasible region `X_F = XI`.
-//! 2. **Skip-input semantics** — literal zero (deviation coordinates)
+//! 1. **Skip-input semantics** — literal zero (deviation coordinates)
 //!    versus physical coasting: effect on the strengthened set `X′` and on
 //!    bang-bang fuel savings.
-//! 3. **MPC horizon** — effect on `XI` and the strengthened set.
+//! 2. **MPC horizon** — effect on `XI` and the strengthened set.
 
-use oic_control::{dlqr, ConstrainedLti, Lti, TighteningMode, TubeMpcBuilder};
 use oic_core::acc::{AccCaseStudy, EpisodeConfig};
 use oic_core::{AlwaysRunPolicy, BangBangPolicy, CoreError, SkipInput};
 use oic_geom::{Polytope, SupportFunction};
-use oic_linalg::Matrix;
 use oic_sim::front::SinusoidalFront;
 use oic_sim::fuel::Hbefa3Fuel;
 use oic_sim::AccParams;
 
 use super::common::ExperimentScale;
 use crate::table;
-
-fn acc_plant(params: &AccParams) -> ConstrainedLti {
-    let (x_lo, x_hi, u_lo, u_hi, w_lo, w_hi) = params.deviation_bounds();
-    ConstrainedLti::new(
-        Lti::new(params.a_matrix(), params.b_matrix()),
-        Polytope::from_box(&x_lo, &x_hi),
-        Polytope::from_box(&u_lo, &u_hi),
-        Polytope::from_box(&w_lo, &w_hi),
-    )
-}
 
 fn span(set: &Polytope, dir: [f64; 2]) -> f64 {
     let hi = set.support(&dir).unwrap_or(f64::NAN);
@@ -45,42 +30,7 @@ pub fn run(scale: &ExperimentScale) -> Result<String, CoreError> {
     let params = AccParams::default();
     let mut out = String::new();
 
-    // --- 1. Tightening recursion. ---
-    let mut rows = Vec::new();
-    for (label, mode) in [
-        ("open-loop A^k W (paper)", None),
-        ("closed-loop (A+BK)^k W (Chisci)", Some(())),
-    ] {
-        let plant = acc_plant(&params);
-        let k = dlqr(
-            plant.system().a(),
-            plant.system().b(),
-            &Matrix::identity(2),
-            &Matrix::identity(1),
-        )?;
-        let mut builder = TubeMpcBuilder::new(plant, 10)
-            .state_weight_vector(vec![1.0, 0.02])
-            .input_weight(0.05);
-        if mode.is_some() {
-            builder = builder.tightening(TighteningMode::ClosedLoop(k));
-        }
-        let mpc = builder.build()?;
-        let x10 = &mpc.tightened_sets()[10];
-        let xf = mpc.feasible_set()?;
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", span(x10, [1.0, 0.0])),
-            format!("{:.2}", span(&xf, [1.0, 0.0])),
-            format!("{:.2}", span(&xf, [0.0, 1.0])),
-        ]);
-    }
-    out.push_str("Ablation 1 — tightening recursion (horizon 10)\n");
-    out.push_str(&table::render(
-        &["recursion", "X(10) s-span", "X_F s-span", "X_F v-span"],
-        &rows,
-    ));
-
-    // --- 2. Skip-input semantics. ---
+    // --- 1. Skip-input semantics. ---
     let mut rows = Vec::new();
     for (label, skip) in [
         ("literal zero (deviation u = 0)", SkipInput::Zero),
@@ -120,7 +70,7 @@ pub fn run(scale: &ExperimentScale) -> Result<String, CoreError> {
             table::pct(1.0 - bang_total / base_total),
         ]);
     }
-    out.push_str("\nAblation 2 — skip-input semantics\n");
+    out.push_str("Ablation 1 — skip-input semantics\n");
     out.push_str(&table::render(
         &[
             "skip input",
@@ -131,7 +81,7 @@ pub fn run(scale: &ExperimentScale) -> Result<String, CoreError> {
         &rows,
     ));
 
-    // --- 3. MPC horizon. ---
+    // --- 2. MPC horizon. ---
     // Longer horizons tighten X(k) further each step; past a breakdown
     // point the terminal RPI set no longer fits and the design is
     // infeasible — the classic tube-MPC horizon trade-off, reported as
@@ -159,7 +109,7 @@ pub fn run(scale: &ExperimentScale) -> Result<String, CoreError> {
             Err(e) => return Err(e),
         }
     }
-    out.push_str("\nAblation 3 — MPC horizon\n");
+    out.push_str("\nAblation 2 — MPC horizon\n");
     out.push_str(&table::render(
         &["horizon N", "XI s-span", "X' s-span", "X' v-span"],
         &rows,
@@ -181,8 +131,8 @@ mod tests {
             ..Default::default()
         };
         let out = run(&scale).unwrap();
-        assert!(out.contains("Ablation 1"));
-        assert!(out.contains("Ablation 2"));
-        assert!(out.contains("Ablation 3"));
+        assert!(out.contains("Ablation 1 — skip-input semantics"));
+        assert!(out.contains("Ablation 2 — MPC horizon"));
+        assert!(!out.contains("Ablation 3"));
     }
 }

@@ -15,12 +15,8 @@
 
 use oic_core::{CoreError, GreedyDrlPolicy, SkipRewardWeights, SkipTrainingEnv};
 use oic_drl::{train, DoubleDqnAgent, DqnConfig, TrainingStats};
-use oic_engine::{
-    episode_seed, run_batch, run_episode, BatchConfig, CellReport, PolicySpec, PreparedPolicy,
-};
-use oic_scenarios::{
-    AccScenario, DoubleIntegratorScenario, Scenario, ScenarioInstance, ScenarioRegistry,
-};
+use oic_engine::{run_batch, BatchConfig, CellOutcome, CellReport, PolicySpec};
+use oic_scenarios::{AccScenario, DoubleIntegratorScenario, Scenario, ScenarioRegistry};
 
 use super::batch::standard_policies;
 use super::common::{flag_number, flag_value, parsed_or_exit, ArgsError};
@@ -180,26 +176,36 @@ const VALIDATION_SEED: u64 = 9001;
 /// DQN trajectories through a near-flat objective landscape oscillate
 /// around the best achievable skip rate, so the harness does checkpoint
 /// **selection**: every `CHECKPOINT_EVERY` episodes the current greedy
-/// policy is swept through the engine (validation seed, benchmark
-/// episode shape) and the blob with the highest violation-free skip rate
-/// wins.
+/// policy is swept through the engine as the `drl-<scenario>` cell
+/// (validation seed, benchmark episode shape) and the blob with the
+/// highest violation-free skip rate wins.
 ///
 /// # Errors
 ///
-/// Propagates scenario-build failures; unknown scenarios surface as
-/// [`CoreError::Policy`].
+/// Propagates scenario-build failures and validation cells that fail;
+/// unknown scenarios surface as [`CoreError::Policy`].
 pub fn train_policy(spec: &TrainSpec) -> Result<TrainedPolicy, CoreError> {
     let scenario = scenario_by_name(&spec.scenario).ok_or_else(|| CoreError::Policy {
         reason: format!("no trainable scenario named {:?}", spec.scenario),
     })?;
-    // A second scenario object for validation: the first moves into the
-    // training env's disturbance factory.
-    let eval_scenario = scenario_by_name(&spec.scenario).expect("same name");
-    let eval_instance = eval_scenario.build()?;
-
-    let instance = scenario.build()?;
+    // One registry for the whole run builds the scenario once, for the
+    // training env and every validation sweep; `scenario` itself moves
+    // into the env's disturbance factory.
+    let mut registry = ScenarioRegistry::new();
+    registry.register(scenario_by_name(&spec.scenario).expect("same name"));
+    let instance = registry
+        .instance(&spec.scenario, |scenario| scenario.build())
+        .expect("registered above")
+        .as_ref()
+        .map_err(Clone::clone)?;
     let sets = instance.sets().clone();
     let controller = instance.controller().clone();
+    let validation = BatchConfig {
+        episodes: 50,
+        steps: 50,
+        seed: VALIDATION_SEED,
+        ..Default::default()
+    };
 
     let seed = spec.seed;
     let mut env = SkipTrainingEnv::new(
@@ -249,14 +255,17 @@ pub fn train_policy(spec: &TrainSpec) -> Result<TrainedPolicy, CoreError> {
         stats.episode_losses.extend(s.episode_losses);
         trained += round;
         let blob = agent.save_weights();
-        let cell = evaluate_cell(
-            &eval_instance,
-            &*eval_scenario,
-            &blob,
-            50,
-            50,
-            VALIDATION_SEED,
-        )?;
+        let policy = PolicySpec::drl(&spec.scenario, blob.as_slice());
+        let report =
+            run_batch(&registry, &[policy], &validation).map_err(|e| CoreError::Policy {
+                reason: format!("validation sweep failed: {e}"),
+            })?;
+        let cell = &report.cells[0];
+        if let CellOutcome::Failed { reason } = &cell.outcome {
+            return Err(CoreError::Policy {
+                reason: format!("validation cell failed: {reason}"),
+            });
+        }
         let wins = cell.safety_violations == 0
             && cell.invariant_violations == 0
             && best
@@ -276,39 +285,6 @@ pub fn train_policy(spec: &TrainSpec) -> Result<TrainedPolicy, CoreError> {
         validation_skip_rate,
         selected_after,
     })
-}
-
-/// Sweeps one learned cell exactly the way the engine's `drl-<name>`
-/// cell runs it (same label-derived seeds, same memory handling),
-/// without rebuilding the scenario per call.
-///
-/// # Errors
-///
-/// Propagates blob-decode/dimension and episode failures.
-pub fn evaluate_cell(
-    instance: &ScenarioInstance,
-    scenario: &dyn Scenario,
-    weights: &[u8],
-    episodes: usize,
-    steps: usize,
-    seed: u64,
-) -> Result<CellReport, CoreError> {
-    let prepared = PreparedPolicy::Drl(GreedyDrlPolicy::from_bytes(weights, instance.sets())?);
-    let label = format!("drl-{}", instance.name());
-    let mut acc = oic_engine::CellAccumulator::new();
-    for episode in 0..episodes {
-        let ep_seed = episode_seed(seed, instance.name(), &label, episode);
-        let record = run_episode(
-            instance, scenario, &prepared, episode, steps, 1, ep_seed, None,
-        )?;
-        acc.push(&record);
-    }
-    Ok(CellReport::from_accumulator(
-        instance.name(),
-        &label,
-        steps,
-        &acc,
-    ))
 }
 
 /// Engine-side evaluation of a weight blob on one scenario: the full

@@ -44,7 +44,7 @@ pub use invariant::{
     max_rci, max_rpi, robust_controllable_pre, verify_rci, verify_rpi, InvariantOptions,
 };
 pub use lti::{ConstrainedLti, Lti};
-pub use mpc::{MpcSolution, MpcWarmState, TighteningMode, TubeMpc, TubeMpcBuilder};
+pub use mpc::{MpcSolution, MpcWarmState, TubeMpc, TubeMpcBuilder};
 
 use std::error::Error;
 use std::fmt;

@@ -98,18 +98,6 @@ struct MpcTemplate {
     rhs_spec: Vec<RhsSpec>,
 }
 
-/// How the state-constraint tightening sequence `X(k)` propagates the
-/// disturbance.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TighteningMode {
-    /// The paper's recursion: `X(k) = X(k−1) ∩ (X(k−1) ⊖ A^{k−1} W)`.
-    OpenLoop,
-    /// Chisci et al.'s recursion with a disturbance-rejection gain:
-    /// `X(k) = X(k−1) ∩ (X(k−1) ⊖ (A+BK)^{k−1} W)`. Less conservative when
-    /// `A` is not strictly stable.
-    ClosedLoop(Matrix),
-}
-
 /// Solution of one tube-MPC optimization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpcSolution {
@@ -171,7 +159,6 @@ pub struct TubeMpcBuilder {
     horizon: usize,
     state_weights: Vec<f64>,
     input_weight: f64,
-    tightening: TighteningMode,
 }
 
 impl TubeMpcBuilder {
@@ -188,7 +175,6 @@ impl TubeMpcBuilder {
             horizon,
             state_weights: vec![1.0; n],
             input_weight: 0.5,
-            tightening: TighteningMode::OpenLoop,
         }
     }
 
@@ -241,12 +227,6 @@ impl TubeMpcBuilder {
         self
     }
 
-    /// Selects the tightening recursion (default: the paper's open-loop).
-    pub fn tightening(mut self, mode: TighteningMode) -> Self {
-        self.tightening = mode;
-        self
-    }
-
     /// Builds the controller: computes tightened sets, synthesizes the
     /// terminal set, and precomputes prediction matrices.
     ///
@@ -261,16 +241,11 @@ impl TubeMpcBuilder {
         let n = sys.state_dim();
         let horizon = self.horizon;
 
-        // Tightening matrix M: X(k) shrinks by M^{k-1} W.
-        let m_mat = match &self.tightening {
-            TighteningMode::OpenLoop => sys.a().clone(),
-            TighteningMode::ClosedLoop(k) => sys.closed_loop(k),
-        };
-
-        // X(0) = X; X(k) = X(k−1) ∩ (X(k−1) ⊖ M^{k−1} W).
+        // The paper's open-loop recursion:
+        // X(0) = X; X(k) = X(k−1) ∩ (X(k−1) ⊖ A^{k−1} W).
         let mut tightened = Vec::with_capacity(horizon + 1);
         tightened.push(self.plant.safe_set().remove_redundant());
-        let mut m_pow = Matrix::identity(n); // M^{k−1} for k = 1 is I
+        let mut m_pow = Matrix::identity(n); // A^{k−1} for k = 1 is I
         for _k in 1..=horizon {
             let prev: &Polytope = tightened.last().expect("at least X(0) present");
             let shifted_w = AffineImage::new(&m_pow, self.plant.disturbance_set());
@@ -280,7 +255,7 @@ impl TubeMpcBuilder {
                 return Err(ControlError::EmptySet);
             }
             tightened.push(next);
-            m_pow = &m_pow * &m_mat;
+            m_pow = &m_pow * sys.a();
         }
 
         // Terminal set: robust positively invariant under the LQR gain,
@@ -1019,22 +994,6 @@ mod tests {
         let mpc = acc_mpc();
         let xf = mpc.feasible_set().unwrap();
         assert!(crate::verify_rci(mpc.plant(), &xf, 1e-5).unwrap());
-    }
-
-    #[test]
-    fn closed_loop_tightening_builds() {
-        let gain = crate::dlqr(
-            acc_plant().system().a(),
-            acc_plant().system().b(),
-            &Matrix::identity(2),
-            &Matrix::identity(1),
-        )
-        .unwrap();
-        let mpc = TubeMpcBuilder::new(acc_plant(), 10)
-            .tightening(TighteningMode::ClosedLoop(gain))
-            .build()
-            .unwrap();
-        assert!(mpc.solve(&[5.0, 2.0]).is_ok());
     }
 
     /// The templated path must be **bit-identical** to the rebuild

@@ -149,11 +149,6 @@ impl DoubleDqnAgent {
         self.train_steps
     }
 
-    /// Number of transitions currently stored.
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Q-values of the online network at `state`.
     ///
     /// # Panics

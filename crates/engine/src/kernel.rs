@@ -1,9 +1,9 @@
 //! Throughput-first lockstep episode kernels.
 //!
 //! [`run_chunk`] runs one episode chunk of one cell. Each episode's
-//! record equals, bit for bit, the one the per-episode reference
-//! [`crate::run_episode`] computes; the kernel is restructured for raw
-//! speed:
+//! record equals, bit for bit, the one the scalar one-episode reference
+//! in `tests/lockstep_equiv.rs` computes; the kernel is restructured for
+//! raw speed:
 //!
 //! * **Monomorphized small-dim kernels** — the registry is all `n ∈ {2,
 //!   3, 4}`, so the hot loop is compiled once per state dimension
@@ -155,9 +155,9 @@ fn flatten(m: &Matrix) -> Vec<f64> {
 
 /// How one episode resolves its skip decision inside the kernel.
 enum EpPolicy {
-    /// Analytic policies run through the exact same boxed object
-    /// [`crate::run_episode`] builds, so stateful policies (periodic counters,
-    /// seeded random draws) advance identically.
+    /// Analytic policies run through the exact same boxed object the
+    /// reference builds, so stateful policies (periodic counters, seeded
+    /// random draws) advance identically.
     Boxed(Box<dyn SkipPolicy>),
     /// Max-skip needs only a membership test against the shared
     /// guarantee set; the flattened polytope keeps it in the hot loop.
@@ -270,8 +270,8 @@ fn run_chunk_impl<const N: usize>(
 
     // Per-episode initialization, in episode order (an injected panic
     // fires here, attributed to its episode via `marker`). Every RNG
-    // stream is derived from the episode seed alone, exactly as
-    // `run_episode` derives it.
+    // stream is derived from the episode seed alone, exactly as the
+    // reference derives it.
     for slot in 0..count {
         let episode = start + slot;
         marker.set(episode);

@@ -10,9 +10,9 @@
 //!   pool ([`run_work_stealing`]: global injector + per-worker deques,
 //!   pure `std`); each chunk runs its episodes through the lockstep
 //!   kernel, which steps them together and performs every episode's
-//!   Algorithm 1 operations in exactly the order of [`run_episode`], the
-//!   one-episode [`IntermittentController`] reference it is tested
-//!   against record for record;
+//!   Algorithm 1 operations in exactly the order of the one-episode
+//!   [`IntermittentController`] reference it is tested against record
+//!   for record (`tests/lockstep_equiv.rs`);
 //! * aggregation streams: each chunk folds its episodes into a
 //!   [`CellAccumulator`] (Welford means/variances, saturating safety
 //!   tallies) and chunks merge in deterministic chunk order — memory is
@@ -27,8 +27,8 @@
 //! * every cell is a pure function of its canonical spec: [`SweepSpec`]
 //!   pins the canonical wire form, [`cell_hash`] content-addresses each
 //!   `(scenario, policy, dropout)` cell, and [`run_batch_opts`] layers
-//!   the [`CellCache`], shard selection ([`ShardInfo`]), and streaming
-//!   cell callbacks over the same byte-identical results;
+//!   the [`CellCache`], shard selection ([`ShardInfo`]), and a
+//!   report-order cell callback over the same byte-identical results;
 //! * faults degrade, never abort: a panicking worker, a NaN plant
 //!   update, or a diverging trajectory turns its cell into a
 //!   [`CellOutcome::Failed`] report entry while the sweep completes,
@@ -69,9 +69,8 @@ pub use json::{JsonParseError, JsonValue};
 pub use oic_faults::{CellFault, DropoutSpec, FaultPlan};
 pub use report::{BatchReport, CellOutcome, CellReport, EpisodeRecord};
 pub use runner::{
-    episode_seed, executed_throughput, run_batch, run_batch_opts, run_episode, BatchConfig,
-    CellTiming, EngineError, ExecutedThroughput, PolicySpec, PreparedPolicy, SweepOptions,
-    SweepStats,
+    episode_seed, executed_throughput, run_batch, run_batch_opts, BatchConfig, CellTiming,
+    EngineError, ExecutedThroughput, PolicySpec, PreparedPolicy, SweepOptions, SweepStats,
 };
 pub use spec::{
     canonical_policy, cell_hash, cell_hash_canonical, parse_policy, ShardInfo, SweepSpec,

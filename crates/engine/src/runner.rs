@@ -21,10 +21,16 @@
 //! each chunk stops at its own first failure, so the reported failure —
 //! the lowest `(chunk, episode)` of the cell — is a pure function of the
 //! seeds and the fault plan, never of thread interleaving.
+//!
+//! A sweep runs in four steps: `plan` validates it and prepares one job
+//! per owned cell, `resolve` answers what it can from the cache,
+//! `execute` runs the remaining chunks, and `finalize` assembles the
+//! report in global index order. Each owned cell keeps all of its
+//! mutable state (chunk merge, lowest failure, retired chunks, wall
+//! time) behind one lock.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -40,6 +46,7 @@ use oic_scenarios::{Scenario, ScenarioInstance, ScenarioRegistry};
 
 use crate::accumulator::CellAccumulator;
 use crate::cache::CellCache;
+use crate::kernel::KernelOutput;
 use crate::report::{BatchReport, CellReport, EpisodeRecord};
 use crate::spec::ShardInfo;
 use crate::steal::{run_work_stealing, StealStats};
@@ -411,132 +418,6 @@ pub fn episode_seed(base: u64, scenario: &str, policy: &str, episode: usize) -> 
     hash
 }
 
-/// Runs one episode against a prebuilt scenario instance through
-/// [`oic_core::IntermittentController`] (Algorithm 1), optionally under
-/// environment-forced actuation dropout (`None` means no dropout axis).
-///
-/// Sweeps run their episodes through the lockstep kernel; this function
-/// is the scalar reference that kernel is tested against, record for
-/// record (`tests/lockstep_equiv.rs`). The engine owns the plant
-/// stepping (`x⁺ = Ax + Bu + w`), so episodes are exact closed-loop
-/// rollouts of the model the certificates cover.
-///
-/// The dropout stream is drawn **every step** regardless of the policy's
-/// decision, so the realized fault pattern is a pure function of the
-/// episode seed — two policies under the same seed face the same
-/// environment. A drop only *overrides* steps the policy decided to
-/// actuate ([`oic_core::IntermittentController::notify_dropout`]
-/// re-books the step);
-/// those overrides are tallied as [`EpisodeRecord::forced_skips`].
-///
-/// Every step also passes a divergence guard: a non-finite or
-/// astronomically large state component fails the episode with
-/// [`CoreError::NonFinite`] instead of silently folding NaN into the
-/// cell's aggregates.
-///
-/// # Errors
-///
-/// * [`CoreError::OutsideInvariant`] from the runtime, which can only
-///   happen if a disturbance process escapes `W` — a scenario bug.
-///   Under an active dropout axis the same condition is an expected
-///   consequence of voiding Theorem 1's premise, so it ends the episode
-///   early with its violations tallied instead of erroring.
-/// * [`CoreError::NonFinite`] from the divergence guard.
-#[allow(clippy::too_many_arguments)]
-pub fn run_episode(
-    instance: &ScenarioInstance,
-    scenario: &dyn Scenario,
-    prepared: &PreparedPolicy,
-    episode: usize,
-    steps: usize,
-    memory: usize,
-    seed: u64,
-    dropout: Option<&DropoutSpec>,
-) -> Result<EpisodeRecord, CoreError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x0 = instance.sample_initial_state(&mut rng);
-    let mut process = scenario.disturbance_process(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let mut runtime = instance.runtime(prepared.for_episode(seed), memory);
-    let sys = instance.sets().plant().system().clone();
-    let safe = instance.sets().safe();
-    let invariant = instance.sets().invariant();
-    let mut dropout = dropout
-        .filter(|spec| !spec.is_none())
-        .map(|spec| spec.stream(seed));
-
-    let mut x = x0;
-    let mut safety_violations = 0usize;
-    let mut invariant_violations = 0usize;
-    let mut min_safe_slack = f64::INFINITY;
-    let mut forced_skips = 0usize;
-    let mut escaped = false;
-    for t in 0..steps {
-        min_safe_slack = min_safe_slack.min(safe.min_slack(&x));
-        if !safe.contains_with_tol(&x, 1e-6) {
-            safety_violations += 1;
-        }
-        if !invariant.contains_with_tol(&x, 1e-6) {
-            invariant_violations += 1;
-        }
-        let mut decision = match runtime.step(&x, &[]) {
-            Ok(decision) => decision,
-            // Dropout deliberately breaks Theorem 1's precondition (the
-            // actuator did not do what Algorithm 1 commanded), so the
-            // state escaping XI *is the measured result* of that regime:
-            // the episode ends here with its violation tallies — the
-            // offending state was already counted above — instead of
-            // failing the whole cell. Without an active dropout axis the
-            // same error still indicates a broken certificate and
-            // propagates.
-            Err(CoreError::OutsideInvariant { .. }) if dropout.is_some() => {
-                escaped = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(stream) = dropout.as_mut() {
-            // Drawn every step — the realized pattern must not depend on
-            // what the policy decided — but only steps the policy chose
-            // to actuate can be overridden into a forced skip.
-            if stream.dropped() && !decision.skipped {
-                decision.input = runtime.notify_dropout();
-                forced_skips += 1;
-            }
-        }
-        let w = process.next(t);
-        x = sys.step(&x, &decision.input, &w);
-        if !x.iter().all(|v| v.is_finite() && v.abs() < 1e12) {
-            return Err(CoreError::NonFinite { step: t });
-        }
-    }
-    // The final post-step state has no control decision after it but is
-    // still a trajectory point Theorem 1 speaks about — tally it too. An
-    // escaped episode already counted its terminal state at the top of
-    // the iteration that broke out.
-    if !escaped {
-        min_safe_slack = min_safe_slack.min(safe.min_slack(&x));
-        if !safe.contains_with_tol(&x, 1e-6) {
-            safety_violations += 1;
-        }
-        if !invariant.contains_with_tol(&x, 1e-6) {
-            invariant_violations += 1;
-        }
-    }
-
-    Ok(EpisodeRecord {
-        episode,
-        seed,
-        stats: runtime.stats().clone(),
-        safety_violations,
-        invariant_violations,
-        min_safe_slack,
-        forced_skips,
-    })
-}
-
 /// One fully prepared (scenario, policy, dropout) cell, shared read-only
 /// by all workers (and by the lockstep kernel in [`crate::kernel`]).
 pub(crate) struct CellJob<'a> {
@@ -555,55 +436,91 @@ pub(crate) struct CellJob<'a> {
     pub(crate) hash: [u8; 32],
 }
 
-/// The scheduling unit: one episode chunk of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The scheduling unit: one episode chunk of one owned cell.
+#[derive(Debug, Clone, Copy)]
 struct ChunkTask {
+    /// Position of the cell among the sweep's owned cells.
     cell: usize,
     chunk: usize,
 }
 
-/// The streamed output of one chunk.
-struct ChunkOutput {
-    acc: CellAccumulator,
-    detail: Vec<EpisodeRecord>,
-    wall_ns: u64,
+/// One cell this sweep owns: its job, its global index over the
+/// materialized grid, and all of its mutable state behind one lock.
+struct OwnedCell<'a> {
+    index: usize,
+    job: CellJob<'a>,
+    /// Answered from the cache by `resolve`; no chunk of it runs.
+    from_cache: bool,
+    state: Mutex<CellState>,
 }
 
-/// Per-cell streaming merge state: chunk accumulators are folded into
-/// `acc` strictly in ascending chunk order; finished-out-of-order chunks
+/// Everything one cell gathers while the sweep runs. Chunk outputs fold
+/// into `acc` strictly in ascending chunk order; chunks that finish early
 /// park in `pending` until their turn. Entries are constant-size in
-/// stream mode, so even the worst case — a stalled early chunk parking
-/// every later chunk of its cell, up to (chunks per cell − 1) entries —
-/// keeps streamed sweeps O(cells) in *records*; typically `pending`
-/// holds only the few chunks in flight on other workers.
-struct CellMerge {
+/// stream mode, so even a stalled early chunk parking every later chunk
+/// of its cell keeps streamed sweeps O(cells) in records.
+#[derive(Default)]
+struct CellState {
+    /// The finished cell: a cache hit, or the run cell once its last
+    /// chunk retires.
+    report: Option<CellReport>,
+    /// Chunks retired so far, merged or failed.
+    retired: usize,
+    /// The next chunk to fold into `acc`.
     next: usize,
     acc: CellAccumulator,
-    pending: BTreeMap<usize, ChunkOutput>,
+    pending: BTreeMap<usize, KernelOutput>,
     detail: Vec<EpisodeRecord>,
+    /// The lowest failing `(chunk, episode, reason)`. Every chunk always
+    /// runs and stops at its *own* first failure, so the entry kept is a
+    /// pure function of the seeds and the fault plan, never of thread
+    /// interleaving.
+    failure: Option<(usize, usize, String)>,
+    /// Summed wall time of the merged chunks (failed chunks add none).
     wall_ns: u64,
 }
 
-impl CellMerge {
-    fn new() -> Self {
-        Self {
-            next: 0,
-            acc: CellAccumulator::new(),
-            pending: BTreeMap::new(),
-            detail: Vec::new(),
-            wall_ns: 0,
+impl CellState {
+    fn retire(&mut self, chunk: usize, output: KernelOutput, wall_ns: u64) {
+        self.retired += 1;
+        if let Some((episode, reason)) = output.failure {
+            if self
+                .failure
+                .as_ref()
+                .is_none_or(|(c, e, _)| (chunk, episode) < (*c, *e))
+            {
+                self.failure = Some((chunk, episode, reason));
+            }
+            return;
         }
-    }
-
-    fn submit(&mut self, chunk: usize, output: ChunkOutput) {
         // Wall time sums immediately (addition is order-independent);
         // only the floating-point accumulator merge must wait its turn.
-        self.wall_ns += output.wall_ns;
+        self.wall_ns += wall_ns;
         self.pending.insert(chunk, output);
         while let Some(output) = self.pending.remove(&self.next) {
             self.acc.merge(&output.acc);
             self.detail.extend(output.detail);
             self.next += 1;
+        }
+    }
+
+    /// The cell's report, once every chunk has retired.
+    fn finish(&mut self, job: &CellJob<'_>, steps: usize) -> CellReport {
+        let name = job.instance.name();
+        match self.failure.take() {
+            Some((_chunk, episode, reason)) => CellReport::failed(
+                name,
+                &job.label,
+                &job.dropout_label,
+                steps,
+                format!("episode {episode}: {reason}"),
+            ),
+            None => {
+                let mut cell = CellReport::from_accumulator(name, &job.label, steps, &self.acc);
+                cell.dropout = job.dropout_label.clone();
+                cell.episodes_detail = std::mem::take(&mut self.detail);
+                cell
+            }
         }
     }
 }
@@ -630,11 +547,9 @@ pub struct SweepOptions<'a> {
     /// [`cell_hash`](crate::spec::cell_hash). Ignored when
     /// `config.detail` is set — the cache stores aggregates only.
     pub cache: Option<&'a CellCache>,
-    /// Called once per owned cell as it completes — cache hits
-    /// immediately, run cells when their last chunk merges — with the
-    /// cell's global index. Cells complete out of order and the callback
-    /// runs on worker threads; callers that need report order must
-    /// buffer on the index.
+    /// Called once per owned cell with the cell's global index, in
+    /// ascending index order (report order), on the calling thread once
+    /// every chunk has run — cache hits and run cells alike.
     pub on_cell: Option<CellCallback<'a>>,
     /// The environment-forced actuation-dropout axis: each entry
     /// multiplies the `(scenario, policy)` grid by one dropout variant
@@ -648,8 +563,8 @@ pub struct SweepOptions<'a> {
     pub faults: Option<&'a FaultPlan>,
 }
 
-/// The [`SweepOptions::on_cell`] completion callback: `(global cell
-/// index, completed cell)`, invoked from worker threads.
+/// The [`SweepOptions::on_cell`] callback: `(global cell index, completed
+/// cell)`, invoked in report order.
 pub type CellCallback<'a> = &'a (dyn Fn(usize, &CellReport) + Sync);
 
 impl std::fmt::Debug for SweepOptions<'_> {
@@ -703,6 +618,34 @@ pub fn run_batch_opts(
     config: &BatchConfig,
     opts: &SweepOptions<'_>,
 ) -> Result<(BatchReport, SweepStats), EngineError> {
+    let (owned, cells_skipped_incompatible) = plan(registry, policies, config, opts)?;
+    // The cache stores aggregates only; detail sweeps bypass it both
+    // ways rather than serve a cell without the rows the caller asked
+    // for.
+    let cache = if config.detail { None } else { opts.cache };
+    let cells = resolve(owned, cache);
+    let steal = execute(&cells, config, cache);
+    Ok(finalize(
+        cells,
+        steal,
+        cells_skipped_incompatible,
+        config,
+        opts,
+    ))
+}
+
+/// Validates the sweep, takes every named scenario's instance from the
+/// registry (which builds it on the first sweep that names it), prepares
+/// each policy once per scenario, and hashes every cell of the
+/// materialized grid. Returns the cells this shard owns, each with its
+/// global index, and the count of grid cells omitted as
+/// dimension-incompatible.
+fn plan<'a>(
+    registry: &'a ScenarioRegistry,
+    policies: &[PolicySpec],
+    config: &BatchConfig,
+    opts: &SweepOptions<'_>,
+) -> Result<(Vec<(usize, CellJob<'a>)>, usize), EngineError> {
     if registry.is_empty() {
         return Err(EngineError::InvalidConfig("no scenarios registered"));
     }
@@ -781,10 +724,9 @@ pub fn run_batch_opts(
         _ => vec![DropoutSpec::None],
     };
 
-    // Plan every cell up front. Each scenario's instance (invariant-set
-    // synthesis, the expensive serial part) comes from the registry,
-    // which builds it on the first sweep that names it and hands every
-    // later sweep the same instance; all of a scenario's cells borrow it.
+    // Each scenario's instance (invariant-set synthesis, the expensive
+    // serial part) comes from the registry; all of a scenario's cells
+    // borrow it.
     let mut jobs = Vec::with_capacity(registry.len() * policies.len() * dropouts.len());
     let mut cells_skipped_incompatible = 0usize;
     for scenario in registry.iter() {
@@ -882,71 +824,63 @@ pub fn run_batch_opts(
     // Shard selection happens over the *materialized* grid (after the
     // dimension-compatibility skips above), so every shard of a sweep
     // agrees on the global index of every cell.
-    let owned: Vec<usize> = (0..jobs.len())
-        .filter(|&g| opts.shard.is_none_or(|shard| shard.owns(g)))
+    let owned = jobs
+        .into_iter()
+        .enumerate()
+        .filter(|(g, _)| opts.shard.is_none_or(|shard| shard.owns(*g)))
         .collect();
+    Ok((owned, cells_skipped_incompatible))
+}
 
-    // The cache stores aggregates only; detail sweeps bypass it both
-    // ways rather than serve a cell without the rows the caller asked
-    // for.
-    let cache = if config.detail { None } else { opts.cache };
-
-    // One result slot per owned cell (report order); cache hits fill
-    // theirs immediately, the rest at last-chunk merge time.
-    let slots: Vec<Mutex<Option<CellReport>>> = owned.iter().map(|_| Mutex::new(None)).collect();
-    let mut cells_from_cache = 0usize;
-    let mut run: Vec<usize> = Vec::with_capacity(owned.len());
-    for (slot_idx, &g) in owned.iter().enumerate() {
-        let job = &jobs[g];
-        // A cell with a planned fault must actually *run into* that
-        // fault — serving it from a pre-fault cache entry would silently
-        // defeat the injection (the plan is not part of the hash).
-        if let Some(cache) = cache.filter(|_| job.fault == CellFault::None) {
-            if let Some(cell) = cache.get(&job.hash) {
-                // The names are part of the hash preimage; a mismatch
-                // means a corrupted store — rerun rather than mislabel.
-                if cell.scenario == job.instance.name()
-                    && cell.policy == job.label
-                    && cell.dropout == job.dropout_label
-                {
-                    cells_from_cache += 1;
-                    oic_obs::counter!("engine.cells_from_cache", "cells").incr();
-                    if let Some(on_cell) = opts.on_cell {
-                        on_cell(g, &cell);
-                    }
-                    *slots[slot_idx].lock().expect("cell slot") = Some(cell);
-                    continue;
-                }
+/// Answers each owned cell from the cache when it can: one lookup per
+/// fault-free cell.
+fn resolve<'a>(owned: Vec<(usize, CellJob<'a>)>, cache: Option<&CellCache>) -> Vec<OwnedCell<'a>> {
+    owned
+        .into_iter()
+        .map(|(index, job)| {
+            // A cell with a planned fault must actually *run into* that
+            // fault — serving it from a pre-fault cache entry would
+            // silently defeat the injection (the plan is not part of the
+            // hash). The names are part of the hash preimage; a mismatch
+            // means a corrupted store — rerun rather than mislabel.
+            let hit = cache
+                .filter(|_| job.fault == CellFault::None)
+                .and_then(|cache| cache.get(&job.hash))
+                .filter(|cell| {
+                    cell.scenario == job.instance.name()
+                        && cell.policy == job.label
+                        && cell.dropout == job.dropout_label
+                });
+            if hit.is_some() {
+                oic_obs::counter!("engine.cells_from_cache", "cells").incr();
             }
-        }
-        run.push(slot_idx);
-    }
+            OwnedCell {
+                index,
+                job,
+                from_cache: hit.is_some(),
+                state: Mutex::new(CellState {
+                    report: hit,
+                    ..CellState::default()
+                }),
+            }
+        })
+        .collect()
+}
 
+/// Drains every chunk of every cell left to run through one
+/// work-stealing pool. The worker that retires a cell's last chunk
+/// builds the cell's report and stores it in the cache.
+fn execute(cells: &[OwnedCell<'_>], config: &BatchConfig, cache: Option<&CellCache>) -> StealStats {
     let chunk_size = config.chunk_size();
     let chunks_per_cell = config.episodes.div_ceil(chunk_size);
-    let mut tasks = Vec::with_capacity(run.len() * chunks_per_cell);
-    for cell in 0..run.len() {
-        for chunk in 0..chunks_per_cell {
-            tasks.push(ChunkTask { cell, chunk });
-        }
-    }
+    let tasks: Vec<ChunkTask> = (0..cells.len())
+        .filter(|&cell| !cells[cell].from_cache)
+        .flat_map(|cell| (0..chunks_per_cell).map(move |chunk| ChunkTask { cell, chunk }))
+        .collect();
 
-    let merges: Vec<Mutex<CellMerge>> = run.iter().map(|_| Mutex::new(CellMerge::new())).collect();
-    // Per-cell failure slot: the lowest (chunk, episode) failure of the
-    // cell. Every chunk always runs and stops at its *own* first
-    // failure, so the winning entry is a pure function of the seeds and
-    // the fault plan — never of thread interleaving.
-    let failures: Vec<Mutex<Option<(usize, usize, String)>>> =
-        run.iter().map(|_| Mutex::new(None)).collect();
-    // Chunks of a cell retired so far (merged or failed); the thread
-    // that retires the last one finalizes the cell.
-    let done: Vec<AtomicUsize> = run.iter().map(|_| AtomicUsize::new(0)).collect();
-    let cells_failed = AtomicUsize::new(0);
-
-    let steal = run_work_stealing(tasks, config.worker_count(), |_, task: ChunkTask| {
-        let slot_idx = run[task.cell];
-        let g = owned[slot_idx];
-        let job = &jobs[g];
+    run_work_stealing(tasks, config.worker_count(), |task: ChunkTask| {
+        let cell = &cells[task.cell];
+        let job = &cell.job;
         let _span = oic_obs::span_with("engine.chunk", "engine", || {
             format!("{}/{} chunk {}", job.instance.name(), job.label, task.chunk)
         });
@@ -960,126 +894,85 @@ pub fn run_batch_opts(
         // names it. Everything captured is either read-only or
         // chunk-local, so observing it after an unwind is sound.
         let marker = std::cell::Cell::new(start);
-        let (acc, detail, chunk_failure) = match catch_unwind(AssertUnwindSafe(|| {
+        let output = catch_unwind(AssertUnwindSafe(|| {
             crate::kernel::run_chunk(job, config, start, end, &marker)
-        })) {
-            Ok(output) => (output.acc, output.detail, output.failure),
-            Err(payload) => (
-                CellAccumulator::new(),
-                Vec::new(),
-                Some((
-                    marker.get(),
-                    format!("panicked: {}", panic_message(&*payload)),
-                )),
-            ),
-        };
+        }))
+        .unwrap_or_else(|payload| KernelOutput {
+            acc: CellAccumulator::new(),
+            detail: Vec::new(),
+            failure: Some((
+                marker.get(),
+                format!("panicked: {}", panic_message(&*payload)),
+            )),
+        });
         let wall_ns = chunk_started.elapsed().as_nanos() as u64;
         oic_obs::histogram!("engine.chunk_ns", "ns").record(wall_ns);
-        if let Some((episode, reason)) = chunk_failure {
-            let mut slot = failures[task.cell].lock().expect("failure slot");
-            if slot
-                .as_ref()
-                .is_none_or(|(c, e, _)| (task.chunk, episode) < (*c, *e))
-            {
-                *slot = Some((task.chunk, episode, reason));
+        let finished = {
+            let mut state = cell.state.lock().expect("cell state lock");
+            state.retire(task.chunk, output, wall_ns);
+            (state.retired == chunks_per_cell).then(|| state.finish(job, config.steps))
+        };
+        // Only the last chunk's worker gets here, and it stores the cell
+        // with the lock released.
+        if let Some(report) = finished {
+            if let Some(cache) = cache.filter(|_| !report.is_failed()) {
+                // A full disk (or read-only cache dir) degrades the
+                // cache, not the sweep: the memory tier is already
+                // updated and the error carries no result data.
+                let _ = cache.put(&job.hash, &report);
             }
-        } else {
-            let mut merge = merges[task.cell].lock().expect("cell merge lock");
-            merge.submit(
-                task.chunk,
-                ChunkOutput {
-                    acc,
-                    detail,
-                    wall_ns,
-                },
-            );
+            cell.state.lock().expect("cell state lock").report = Some(report);
         }
-        // Last chunk of the cell retired (merged *or* failed): finalize.
-        // The AcqRel fetch_add orders this thread's view after every
-        // sibling chunk's mutex release, so the finalizer reads complete
-        // merge/failure state.
-        if done[task.cell].fetch_add(1, Ordering::AcqRel) + 1 == chunks_per_cell {
-            let failed = failures[task.cell].lock().expect("failure slot").take();
-            let cell = match failed {
-                Some((_chunk, episode, reason)) => {
-                    cells_failed.fetch_add(1, Ordering::Relaxed);
-                    oic_obs::counter!("engine.cells_failed", "cells").incr();
-                    CellReport::failed(
-                        job.instance.name(),
-                        &job.label,
-                        &job.dropout_label,
-                        config.steps,
-                        format!("episode {episode}: {reason}"),
-                    )
-                }
-                None => {
-                    let mut merge = merges[task.cell].lock().expect("cell merge lock");
-                    let mut cell = CellReport::from_accumulator(
-                        job.instance.name(),
-                        &job.label,
-                        config.steps,
-                        &merge.acc,
-                    );
-                    cell.dropout = job.dropout_label.clone();
-                    cell.episodes_detail = std::mem::take(&mut merge.detail);
-                    drop(merge);
-                    if let Some(cache) = cache {
-                        // A full disk (or read-only cache dir) degrades
-                        // the cache, not the sweep: the memory tier is
-                        // already updated and the error carries no
-                        // result data. Failed cells never get here.
-                        let _ = cache.put(&job.hash, &cell);
-                    }
-                    cell
-                }
-            };
-            if let Some(on_cell) = opts.on_cell {
-                on_cell(g, &cell);
-            }
-            *slots[slot_idx].lock().expect("cell slot") = Some(cell);
-        }
-        true
-    });
+    })
+}
 
-    // Wall-time accounting for the cells that actually ran; cached
-    // cells report zero wall time (their episodes never executed) and
-    // failed cells report only their completed chunks' time.
-    let mut wall_by_slot: Vec<u64> = vec![0; owned.len()];
-    for (&slot_idx, merge) in run.iter().zip(merges) {
-        let merge = merge.into_inner().expect("workers joined");
-        oic_obs::histogram!("engine.cell_ns", "ns").record(merge.wall_ns);
-        wall_by_slot[slot_idx] = merge.wall_ns;
-    }
-
-    let mut cells = Vec::with_capacity(owned.len());
-    let mut cell_timings = Vec::with_capacity(owned.len());
-    for (slot_idx, slot) in slots.into_iter().enumerate() {
-        let cell = slot
-            .into_inner()
-            .expect("workers joined")
+/// Assembles the report in global index order, handing each cell to
+/// [`SweepOptions::on_cell`] as it is placed, and the sweep's stats.
+fn finalize(
+    cells: Vec<OwnedCell<'_>>,
+    steal: StealStats,
+    cells_skipped_incompatible: usize,
+    config: &BatchConfig,
+    opts: &SweepOptions<'_>,
+) -> (BatchReport, SweepStats) {
+    let mut stats = SweepStats {
+        steal,
+        cells_skipped_incompatible,
+        ..SweepStats::default()
+    };
+    let mut report = BatchReport {
+        seed: config.seed,
+        shard: opts.shard,
+        cells: Vec::with_capacity(cells.len()),
+    };
+    for cell in cells {
+        let state = cell.state.into_inner().expect("workers joined");
+        let done = state
+            .report
             .expect("every owned cell completed or the sweep errored");
-        cell_timings.push(CellTiming {
-            scenario: cell.scenario.clone(),
-            policy: cell.policy.clone(),
-            episodes: cell.episodes,
-            wall_ns: wall_by_slot[slot_idx],
+        // Cached cells report zero wall time (their episodes never ran);
+        // failed cells report only their merged chunks' time.
+        if cell.from_cache {
+            stats.cells_from_cache += 1;
+        } else {
+            oic_obs::histogram!("engine.cell_ns", "ns").record(state.wall_ns);
+            if done.is_failed() {
+                stats.cells_failed += 1;
+                oic_obs::counter!("engine.cells_failed", "cells").incr();
+            }
+        }
+        if let Some(on_cell) = opts.on_cell {
+            on_cell(cell.index, &done);
+        }
+        stats.cell_timings.push(CellTiming {
+            scenario: done.scenario.clone(),
+            policy: done.policy.clone(),
+            episodes: done.episodes,
+            wall_ns: state.wall_ns,
         });
-        cells.push(cell);
+        report.cells.push(done);
     }
-    Ok((
-        BatchReport {
-            seed: config.seed,
-            shard: opts.shard,
-            cells,
-        },
-        SweepStats {
-            steal,
-            cells_skipped_incompatible,
-            cells_from_cache,
-            cells_failed: cells_failed.into_inner(),
-            cell_timings,
-        },
-    ))
+    (report, stats)
 }
 
 /// Renders a panic payload for a `Failed` cell's reason string. Panics

@@ -21,7 +21,7 @@
 //! noise.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Counters describing one pool run (for logs and wall-clock summaries;
@@ -40,14 +40,12 @@ pub struct StealStats {
 
 /// Runs `tasks` to completion on `workers` threads with work stealing.
 ///
-/// `worker_fn(worker_index, task)` is called once per task, on whichever
-/// worker ended up with it; it returns `false` to request a cooperative
-/// abort (remaining tasks are discarded — the runner uses this to stop a
-/// sweep at the first episode error).
+/// `worker_fn(task)` runs exactly once per task, on whichever worker
+/// ended up with it; the pool returns once every task has run.
 pub fn run_work_stealing<T, F>(tasks: Vec<T>, workers: usize, worker_fn: F) -> StealStats
 where
     T: Send,
-    F: Fn(usize, T) -> bool + Sync,
+    F: Fn(T) + Sync,
 {
     let total = tasks.len();
     if total == 0 {
@@ -61,7 +59,6 @@ where
     let injector: Mutex<VecDeque<T>> = Mutex::new(tasks.into());
     let locals: Vec<Mutex<VecDeque<T>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let abort = AtomicBool::new(false);
     let executed = AtomicUsize::new(0);
     let steals = AtomicUsize::new(0);
     let injector_grabs = AtomicUsize::new(0);
@@ -70,13 +67,12 @@ where
         for me in 0..workers {
             let injector = &injector;
             let locals = &locals;
-            let abort = &abort;
             let executed = &executed;
             let steals = &steals;
             let injector_grabs = &injector_grabs;
             let worker_fn = &worker_fn;
             scope.spawn(move || {
-                while !abort.load(Ordering::Relaxed) {
+                loop {
                     // 1. Own deque, newest first.
                     let task = locals[me].lock().expect("local deque lock").pop_back();
                     let task = match task {
@@ -131,10 +127,7 @@ where
                         return;
                     };
                     executed.fetch_add(1, Ordering::Relaxed);
-                    if !worker_fn(me, task) {
-                        abort.store(true, Ordering::Relaxed);
-                        return;
-                    }
+                    worker_fn(task);
                 }
             });
         }
@@ -164,9 +157,8 @@ mod tests {
     fn executes_every_task_exactly_once() {
         let n = 1000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let stats = run_work_stealing((0..n).collect(), 8, |_, task: usize| {
+        let stats = run_work_stealing((0..n).collect(), 8, |task: usize| {
             hits[task].fetch_add(1, Ordering::Relaxed);
-            true
         });
         assert_eq!(stats.executed, n);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -175,9 +167,8 @@ mod tests {
     #[test]
     fn single_worker_degenerates_to_sequential() {
         let sum = AtomicU64::new(0);
-        let stats = run_work_stealing((1..=100u64).collect(), 1, |_, task| {
+        let stats = run_work_stealing((1..=100u64).collect(), 1, |task| {
             sum.fetch_add(task, Ordering::Relaxed);
-            true
         });
         assert_eq!(sum.into_inner(), 5050);
         assert_eq!(stats.workers, 1);
@@ -186,20 +177,9 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped_to_task_count() {
-        let stats = run_work_stealing(vec![1, 2, 3], 64, |_, _| true);
+        let stats = run_work_stealing(vec![1, 2, 3], 64, |_| {});
         assert_eq!(stats.workers, 3);
         assert_eq!(stats.executed, 3);
-    }
-
-    #[test]
-    fn abort_stops_the_pool_early() {
-        let n = 10_000;
-        let stats = run_work_stealing((0..n).collect(), 4, |_, task: usize| task < 5);
-        assert!(
-            stats.executed < n,
-            "abort must discard remaining tasks ({} executed)",
-            stats.executed
-        );
     }
 
     #[test]
@@ -212,7 +192,7 @@ mod tests {
         // its deque-mates can therefore only run by being stolen, and
         // the sibling cannot exit while a victim deque is non-empty.
         let others = AtomicUsize::new(0);
-        let stats = run_work_stealing((0..64usize).collect(), 2, |_, task| {
+        let stats = run_work_stealing((0..64usize).collect(), 2, |task| {
             if task == 63 {
                 while others.load(Ordering::Relaxed) < 63 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
@@ -220,7 +200,6 @@ mod tests {
             } else {
                 others.fetch_add(1, Ordering::Relaxed);
             }
-            true
         });
         assert_eq!(stats.executed, 64);
         assert!(
@@ -237,7 +216,7 @@ mod tests {
 
     #[test]
     fn empty_task_list_is_a_no_op() {
-        let stats = run_work_stealing(Vec::<usize>::new(), 4, |_, _| true);
+        let stats = run_work_stealing(Vec::<usize>::new(), 4, |_| {});
         assert_eq!(stats, StealStats::default());
     }
 }

@@ -3,7 +3,7 @@
 //! The lockstep kernel's whole contract is that it changes *when* work
 //! happens, never *what* is computed: per-episode RNG streams, dropout
 //! draws, and every floating-point operation execute in exactly the
-//! order of the one-episode reference [`run_episode`] (Algorithm 1
+//! order of the one-episode reference [`run_episode`] below (Algorithm 1
 //! through `IntermittentController`). These tests pin that contract end
 //! to end through the public API: every sweep runs with per-episode
 //! detail, and every record it reports must equal the reference's record
@@ -12,16 +12,103 @@
 //! without actuation dropouts, and with learned (DRL) and tube-MPC cells
 //! in the roster.
 
+use oic_core::CoreError;
 use oic_engine::{
-    episode_seed, run_batch_opts, run_episode, BatchConfig, DropoutSpec, EpisodeRecord, PolicySpec,
-    SweepOptions,
+    episode_seed, run_batch_opts, BatchConfig, DropoutSpec, EpisodeRecord, PolicySpec,
+    PreparedPolicy, SweepOptions,
 };
 use oic_scenarios::{
-    AccScenario, CstrScenario, DoubleIntegratorScenario, ScenarioRegistry, TwoMassSpringScenario,
+    AccScenario, CstrScenario, DoubleIntegratorScenario, Scenario, ScenarioInstance,
+    ScenarioRegistry, TwoMassSpringScenario,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The scalar reference: one episode through
+/// [`oic_core::IntermittentController`], stepping the plant
+/// `x⁺ = Ax + Bu + w` itself. The dropout stream is drawn every step
+/// regardless of the decision, and a drop overrides only a step the
+/// policy chose to actuate (re-booked by `notify_dropout`). Under an
+/// active dropout axis an escape from `XI` ends the episode with its
+/// tallies; without one it is an error, as is a non-finite or
+/// astronomically large state.
+#[allow(clippy::too_many_arguments)]
+fn run_episode(
+    instance: &ScenarioInstance,
+    scenario: &dyn Scenario,
+    prepared: &PreparedPolicy,
+    episode: usize,
+    steps: usize,
+    memory: usize,
+    seed: u64,
+    dropout: &DropoutSpec,
+) -> Result<EpisodeRecord, CoreError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x0 = instance.sample_initial_state(&mut rng);
+    let mut process = scenario.disturbance_process(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut runtime = instance.runtime(prepared.for_episode(seed), memory);
+    let sys = instance.sets().plant().system().clone();
+    let safe = instance.sets().safe();
+    let invariant = instance.sets().invariant();
+    let mut dropout = (!dropout.is_none()).then(|| dropout.stream(seed));
+
+    let mut x = x0;
+    let mut safety_violations = 0usize;
+    let mut invariant_violations = 0usize;
+    let mut min_safe_slack = f64::INFINITY;
+    let mut forced_skips = 0usize;
+    let mut escaped = false;
+    for t in 0..steps {
+        min_safe_slack = min_safe_slack.min(safe.min_slack(&x));
+        if !safe.contains_with_tol(&x, 1e-6) {
+            safety_violations += 1;
+        }
+        if !invariant.contains_with_tol(&x, 1e-6) {
+            invariant_violations += 1;
+        }
+        let mut decision = match runtime.step(&x, &[]) {
+            Ok(decision) => decision,
+            Err(CoreError::OutsideInvariant { .. }) if dropout.is_some() => {
+                escaped = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        if let Some(stream) = dropout.as_mut() {
+            if stream.dropped() && !decision.skipped {
+                decision.input = runtime.notify_dropout();
+                forced_skips += 1;
+            }
+        }
+        let w = process.next(t);
+        x = sys.step(&x, &decision.input, &w);
+        if !x.iter().all(|v| v.is_finite() && v.abs() < 1e12) {
+            return Err(CoreError::NonFinite { step: t });
+        }
+    }
+    // The final post-step state is a trajectory point too; an escaped
+    // episode already counted its last state.
+    if !escaped {
+        min_safe_slack = min_safe_slack.min(safe.min_slack(&x));
+        if !safe.contains_with_tol(&x, 1e-6) {
+            safety_violations += 1;
+        }
+        if !invariant.contains_with_tol(&x, 1e-6) {
+            invariant_violations += 1;
+        }
+    }
+
+    Ok(EpisodeRecord {
+        episode,
+        seed,
+        stats: runtime.stats().clone(),
+        safety_violations,
+        invariant_violations,
+        min_safe_slack,
+        forced_skips,
+    })
+}
 
 /// Every field of a record as raw bits, so `-0.0`/`0.0` and distinct NaN
 /// payloads cannot compare equal by accident.
@@ -81,7 +168,7 @@ fn assert_matches_reference(
                 config.steps,
                 config.memory,
                 seed,
-                Some(dropout),
+                dropout,
             )
             .expect("reference episode runs");
             assert_eq!(

@@ -14,7 +14,7 @@
 //! computed, coalesced, or served from cache. Evidence of *how* a
 //! request was answered lives in the metrics endpoint only.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -505,10 +505,10 @@ impl SweepServer {
         stream: &mut TcpStream,
         read: Stopwatch,
     ) {
-        // Socket + coalescing buffer behind one lock so worker threads
-        // can emit completed cells directly. A dropped leader connection
-        // must not kill the sweep — the cells still land in the cache and
-        // coalesced followers still need the bytes — so socket errors are
+        // Socket + coalescing buffer behind one lock, which the `Sync`
+        // cell callback needs. A dropped leader connection must not kill
+        // the sweep — the cells still land in the cache and coalesced
+        // followers still need the bytes — so socket errors are
         // swallowed here.
         let sink = Mutex::new(&mut *stream);
         let emit_line = |line: &str| {
@@ -528,27 +528,20 @@ impl SweepServer {
                 + "\n"),
         );
 
-        // Cells stream strictly in global index order: out-of-order
-        // completions buffer until their index comes up, so the body
-        // never depends on scheduling.
-        let order = Mutex::new((0usize, BTreeMap::<usize, String>::new()));
+        // The engine hands cells over in global index order, so the
+        // body never depends on scheduling.
         let on_cell = |g: usize, cell: &CellReport| {
-            let line = JsonValue::object()
-                .with("cell", g)
-                .with("data", cell.to_json(false))
-                .to_json()
-                + "\n";
-            let mut slot = order.lock().expect("order lock");
-            let (next, pending) = &mut *slot;
-            pending.insert(g, line);
-            while let Some(line) = pending.remove(next) {
-                emit_line(&line);
-                if *next == 0 {
-                    read.stop_into(oic_obs::histogram!("serve.first_cell_ns", "ns"));
-                }
-                oic_obs::counter!("serve.cells_streamed", "cells").incr();
-                *next += 1;
+            emit_line(
+                &(JsonValue::object()
+                    .with("cell", g)
+                    .with("data", cell.to_json(false))
+                    .to_json()
+                    + "\n"),
+            );
+            if g == 0 {
+                read.stop_into(oic_obs::histogram!("serve.first_cell_ns", "ns"));
             }
+            oic_obs::counter!("serve.cells_streamed", "cells").incr();
         };
 
         let config = spec.to_config();
